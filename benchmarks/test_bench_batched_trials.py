@@ -19,6 +19,7 @@ import time
 from repro.api import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.session import Session
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
+from repro.testing import scalar_sweep
 
 
 def _sweep(trials=60):
@@ -44,11 +45,11 @@ def test_bench_batched_vs_scalar_trials(benchmark):
     sweep = _sweep()
 
     t0 = time.perf_counter()
-    scalar = run_sweep(sweep, Session(batch=False))
+    scalar = scalar_sweep(sweep)
     scalar_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = run_sweep(sweep, Session(batch=True))
+    batched = run_sweep(sweep, Session())
     batched_s = time.perf_counter() - t0
 
     assert batched.total_trials == scalar.total_trials == 180
@@ -63,6 +64,6 @@ def test_bench_batched_vs_scalar_trials(benchmark):
 
     # Recorded number: the steady-state batched sweep.
     result = benchmark.pedantic(
-        lambda: run_sweep(sweep, Session(batch=True)), rounds=3, iterations=1
+        lambda: run_sweep(sweep, Session()), rounds=3, iterations=1
     )
     assert result.fingerprint() == scalar.fingerprint()

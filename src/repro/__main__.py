@@ -119,23 +119,13 @@ def _store_path(args: argparse.Namespace) -> str | None:
     return DEFAULT_STORE if getattr(args, "resume", False) else None
 
 
-def _batch_mode(args: argparse.Namespace):
-    """Map the ``--batch/--no-batch`` tri-state onto the session modes
-    (absent → ``"auto"``)."""
-    flag = getattr(args, "batch", None)
-    return "auto" if flag is None else flag
-
-
-def _open_session(store: str | None, workers: int | None, batch="auto",
-                  backend: str | None = None):
+def _open_session(store: str | None, workers: int | None):
     """Build a Session, turning an unusable store path (existing file,
     permissions, ...) into the CLI's one-line-error contract."""
     from .api.session import Session
 
     try:
-        return Session(
-            store=store, workers=workers, batch=batch, backend=backend
-        ), 0
+        return Session(store=store, workers=workers), 0
     except OSError as exc:
         print(f"cannot open store at {store}: {exc}", file=sys.stderr)
         return None, 2
@@ -243,18 +233,6 @@ def _cmd_sweep(argv: list[str]) -> int:
         help=f"shorthand for --store {DEFAULT_STORE}",
     )
     sub.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="force the batched (--batch) or scalar (--no-batch) trial "
-        "engine; default: auto — batch eligible multi-trial grid points. "
-        "Results are bit-identical either way",
-    )
-    sub.add_argument(
-        "--backend", choices=("auto", "numpy", "numba"), default=None,
-        help="kernel backend for batched execution (default: auto — numba "
-        "when importable, else numpy). Results are bit-identical across "
-        "backends",
-    )
-    sub.add_argument(
         "--server", default=None, metavar="URL",
         help="a running sweep service (python -m repro serve); required "
         "for submit/watch, and switches status to the service's view",
@@ -341,9 +319,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         return 0
 
     store = _store_path(args)
-    session, err = _open_session(
-        store, args.workers, _batch_mode(args), args.backend
-    )
+    session, err = _open_session(store, args.workers)
     if session is None:
         return err
     t0 = time.perf_counter()
@@ -532,16 +508,6 @@ def _cmd_serve(argv: list[str]) -> int:
         help="fsync every result-store append (durable, slower)",
     )
     sub.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="force the batched (--batch) or scalar (--no-batch) trial "
-        "engine in workers; default: auto",
-    )
-    sub.add_argument(
-        "--backend", choices=("auto", "numpy", "numba"), default="auto",
-        help="kernel backend for worker sessions (default: auto — numba "
-        "when importable, else numpy)",
-    )
-    sub.add_argument(
         "--no-merge-points", action="store_true",
         help="dispatch one grid point per job instead of merging "
         "compatible points into stacked multi-point jobs",
@@ -557,8 +523,6 @@ def _cmd_serve(argv: list[str]) -> int:
         workers=args.workers,
         host=args.host,
         port=args.port,
-        batch=_batch_mode(args),
-        backend=args.backend,
         job_timeout=args.job_timeout,
         max_attempts=args.max_attempts,
         job_chunk=args.job_chunk,
@@ -684,12 +648,6 @@ def _cmd_paper(argv: list[str]) -> int:
         "--refresh", action="store_true",
         help="ignore cached results/tables; recompute and rewrite the store",
     )
-    sub.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=None,
-        help="force the batched (--batch) or scalar (--no-batch) trial "
-        "engine for the experiment sweeps; default: auto. Results — and "
-        "the manifest — are bit-identical either way",
-    )
     args = sub.parse_args(rest)
     from .report.paper import PaperConfig, run_paper
 
@@ -702,7 +660,6 @@ def _cmd_paper(argv: list[str]) -> int:
                 e.strip() for e in args.only.split(",") if e.strip()
             ) if args.only else (),
             workers=args.workers,
-            batch=_batch_mode(args),
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

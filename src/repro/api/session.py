@@ -23,9 +23,8 @@ Three consequences fall out:
 * **warm batches short-circuit** — a fully cached batch performs zero
   engine calls, including the baseline phase;
 * **interrupted sweeps resume** — every completed scenario is appended to
-  the store the moment it finishes (:meth:`Session.run_iter` streams
-  results in completion order), so a crashed or killed sweep restarts from
-  whatever already landed on disk;
+  the store the moment it finishes, before it is returned or yielded, so a
+  crashed or killed sweep restarts from whatever already landed on disk;
 * **parallelism is invisible** — ``workers=1`` and ``workers=N`` produce
   identical fingerprints, cached or fresh.
 
@@ -35,8 +34,19 @@ Three consequences fall out:
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..errors import SpecError
 from ..expansion.estimate import ExpansionEstimate
@@ -50,6 +60,12 @@ from .store import BaselineKey, ResultStore, baseline_key
 from . import engine as _engine
 
 __all__ = ["Session"]
+
+#: How a serve call computes its misses: ``(missing specs, their input
+#: positions) -> (index into missing, result)`` pairs, in any order.
+_Compute = Callable[
+    [List[ScenarioSpec], List[int]], Iterable[Tuple[int, RunResult]]
+]
 
 
 def _validate_specs(specs: Iterable[ScenarioSpec]) -> List[ScenarioSpec]:
@@ -84,18 +100,6 @@ class Session:
     refresh:
         When true, ignore existing store entries (recompute everything) but
         still write results through — a forced cache rebuild.
-    batch:
-        Default execution strategy for homogeneous trial groups (the sweep
-        layer reads it): ``"auto"`` — batch eligible multi-trial groups
-        through :mod:`repro.batch` (results are bit-identical to scalar
-        execution, so this is on by default); ``True`` — batch every
-        eligible group, even singletons; ``False`` — always scalar.
-    backend:
-        Array backend for the batched kernels: ``"auto"`` (numba when
-        importable, else numpy), ``"numpy"``, ``"numba"`` (clean fallback
-        to numpy when numba is absent), or ``None`` to defer to the
-        ``REPRO_BACKEND`` environment variable.  Backends are
-        bit-identical, so this only affects speed.
 
     A storeless serial session is the cheapest way to execute specs
     programmatically; identical scenarios are deduplicated per session run
@@ -125,8 +129,6 @@ class Session:
         executor: Optional[Executor] = None,
         baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
         refresh: bool = False,
-        batch: Union[str, bool] = "auto",
-        backend: Optional[str] = None,
     ) -> None:
         if store is None or isinstance(store, ResultStore):
             self.store = store
@@ -134,15 +136,6 @@ class Session:
             self.store = ResultStore(store)
         self.executor = executor if executor is not None else make_executor(workers)
         self.refresh = refresh
-        if not (batch is True or batch is False or batch == "auto"):
-            raise SpecError(
-                f"batch must be 'auto', True or False, got {batch!r}"
-            )
-        self.batch = batch
-        from ..backend import resolve_backend  # validates the name eagerly
-
-        self.backend = backend
-        self._backend = resolve_backend(backend)
         self._baselines = baseline_cache if baseline_cache is not None else {}
         #: Scenarios served from the store / actually executed, cumulatively.
         self.hits = 0
@@ -183,29 +176,57 @@ class Session:
             if self.store is not None:
                 self.store.put_baseline(key, estimate)
 
+    def _serve(
+        self, specs: Iterable[ScenarioSpec], compute: _Compute
+    ) -> Iterator[RunResult]:
+        """The one lookup → baseline → compute → record loop.
+
+        Validation and the store lookups (so the hit/miss counters too)
+        happen now.  The returned iterator yields results in input order,
+        each as soon as it and all its predecessors are available: the
+        cached prefix first, then — after resolving the misses' baselines
+        — ``compute(missing, slots)`` runs on the missing specs and their
+        input positions, yielding ``(index into missing, result)`` pairs in
+        any order.  Each computed result is appended to the store the
+        moment it arrives, before it is yielded.
+        """
+        spec_list = _validate_specs(specs)
+        results = [self.lookup(spec) for spec in spec_list]
+        slots = [i for i, result in enumerate(results) if result is None]
+        missing = [spec_list[i] for i in slots]
+        self.hits += len(results) - len(slots)
+        self.misses += len(slots)
+
+        def fill() -> Iterator[RunResult]:
+            i = 0
+            while i < len(results) and results[i] is not None:
+                yield results[i]
+                i += 1
+            if not missing:
+                return
+            self._ensure_baselines(missing)
+            for k, result in compute(missing, slots):
+                self._record(result)
+                results[slots[k]] = result
+                while i < len(results) and results[i] is not None:
+                    yield results[i]
+                    i += 1
+
+        return fill()
+
     # -- execution ------------------------------------------------------ #
 
     def run(self, spec: ScenarioSpec) -> RunResult:
         """Execute (or serve from the store) a single scenario."""
-        (spec,) = _validate_specs([spec])
-        cached = self.lookup(spec)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        self._ensure_baselines([spec])
-        result = _engine.run(spec, baseline_cache=self._baselines)
-        self._record(result)
+        (result,) = self.run_iter([spec])
         return result
 
     def run_batch(self, specs: Iterable[ScenarioSpec]) -> List[RunResult]:
         """Execute a batch; results in input order (see :meth:`run_iter`)."""
         return list(self.run_iter(specs))
 
-    def run_iter(
-        self, specs: Iterable[ScenarioSpec], *, ordered: bool = True
-    ) -> Iterator[RunResult]:
-        """Stream results as scenarios complete instead of barriering.
+    def run_iter(self, specs: Iterable[ScenarioSpec]) -> Iterator[RunResult]:
+        """Stream results in input order instead of barriering.
 
         Cached scenarios are served without any execution (a fully warm
         batch performs zero engine calls — no baseline phase either); the
@@ -214,152 +235,59 @@ class Session:
         consumer loses nothing that was yielded.  Closing the iterator
         mid-sweep cancels still-queued scenarios promptly; at most the
         handful in flight at that moment are recomputed on resume.
-
-        ``ordered=True`` (default) yields input order — each result is
-        yielded as soon as it *and all its predecessors* are available.
-        ``ordered=False`` yields cached results first, then computed ones in
-        completion order (lowest latency to first result).
         """
-        spec_list = _validate_specs(specs)
-        done: Dict[int, RunResult] = {}
-        pending: List[Tuple[int, ScenarioSpec]] = []
-        for i, spec in enumerate(spec_list):
-            cached = self.lookup(spec)
-            if cached is not None:
-                done[i] = cached
-            else:
-                pending.append((i, spec))
-        self.hits += len(done)
-        self.misses += len(pending)
-        return self._merge_stream(spec_list, done, pending, ordered)
-
-    def _merge_stream(
-        self,
-        spec_list: List[ScenarioSpec],
-        done: Dict[int, RunResult],
-        pending: List[Tuple[int, ScenarioSpec]],
-        ordered: bool,
-    ) -> Iterator[RunResult]:
-        if pending:
-            self._ensure_baselines([spec for _, spec in pending])
-            payloads = [
-                (spec, self._baselines[baseline_key(spec)]) for _, spec in pending
-            ]
-            stream = self.executor.imap(_engine._run_task, payloads)
-        else:
-            stream = iter(())
-        indices = [i for i, _ in pending]
-        if not ordered:
-            for i in sorted(done):
-                yield done[i]
-            for _, result in stream:
-                self._record(result)
-                yield result
-            return
-        next_i = 0
-        while next_i in done:  # cached prefix: yield before touching the stream
-            yield done.pop(next_i)
-            next_i += 1
-        for k, result in stream:
-            self._record(result)
-            done[indices[k]] = result
-            while next_i in done:
-                yield done.pop(next_i)
-                next_i += 1
-        while next_i in done:
-            yield done.pop(next_i)
-            next_i += 1
+        return self._serve(
+            specs,
+            lambda missing, _slots: self.executor.imap(
+                _engine._run_task,
+                [(spec, self._baselines[baseline_key(spec)]) for spec in missing],
+            ),
+        )
 
     def run_trials_batched(self, specs: Iterable[ScenarioSpec]) -> List[RunResult]:
-        """Execute homogeneous trials through the batched engine.
-
-        ``specs`` must share one (graph, fault, analysis) and differ only in
-        seed/label — the shape of one sweep grid point.  Store semantics are
-        identical to :meth:`run_iter`: cached trials are served without
-        execution, the rest are evaluated as **one** mask-matrix batch
-        (:func:`repro.batch.engine.run_trials`) and appended to the store;
-        hit/miss counters advance exactly as the scalar path's would, and
-        the results (input order) are bit-identical to scalar execution.
-        """
-        from ..batch import engine as _batch_engine  # late: batch builds on api
-
-        spec_list = _validate_specs(specs)
-        if not spec_list:
-            return []
-        results: List[Optional[RunResult]] = []
-        missing: List[Tuple[int, ScenarioSpec]] = []
-        for i, spec in enumerate(spec_list):
-            cached = self.lookup(spec)
-            results.append(cached)
-            if cached is None:
-                missing.append((i, spec))
-        self.hits += len(spec_list) - len(missing)
-        self.misses += len(missing)
-        if missing:
-            missing_specs = [spec for _, spec in missing]
-            self._ensure_baselines(missing_specs)
-            baseline = self._baselines[baseline_key(missing_specs[0])]
-            for (i, _), result in zip(
-                missing,
-                _batch_engine.run_trials(
-                    missing_specs, baseline=baseline, backend=self._backend
-                ),
-            ):
-                self._record(result)
-                results[i] = result
-        return results  # type: ignore[return-value]  # every slot is filled
+        """Execute one grid point's homogeneous trials through the batched
+        engine (:meth:`run_points_batched` with a single group)."""
+        return self.run_points_batched([specs])[0]
 
     def run_points_batched(
-        self, groups: List[List[ScenarioSpec]]
+        self, groups: Iterable[Iterable[ScenarioSpec]]
     ) -> List[List[RunResult]]:
         """Execute several compatible grid points as stacked batches.
 
-        ``groups`` holds one homogeneous spec list per grid point; all
+        ``groups`` holds one spec list per grid point, each sharing one
+        (graph, fault, analysis) and differing only in seed/label; all
         groups must share a :func:`repro.batch.engine.stack_key` (same
         graph + analysis; fault models may differ).  Store semantics match
-        :meth:`run_trials_batched` per group — cached trials are served
-        without execution, the rest are evaluated by **one**
-        :func:`repro.batch.engine.run_points` call stacking every group's
-        missing trials into shared mask tensors — and each record is
-        bit-identical to the per-point path, so sweep fingerprints are
-        unchanged.  Returns one result list per group, in input order.
+        :meth:`run_iter` — cached trials are served without execution — and
+        the misses of every group are evaluated by **one**
+        :func:`repro.batch.engine.run_points` call stacking them into shared
+        mask tensors.  Each record is bit-identical to scalar execution, so
+        sweep fingerprints are unchanged.  Returns one result list per
+        group, in input order.
         """
         from ..batch import engine as _batch_engine  # late: batch builds on api
 
-        group_lists = [_validate_specs(g) for g in groups]
-        results: List[List[Optional[RunResult]]] = []
-        missing: List[Tuple[int, List[int], List[ScenarioSpec]]] = []
-        n_specs = 0
-        n_missing = 0
-        for gi, spec_list in enumerate(group_lists):
-            slots: List[Optional[RunResult]] = []
-            idxs: List[int] = []
-            for i, spec in enumerate(spec_list):
-                cached = self.lookup(spec)
-                slots.append(cached)
-                if cached is None:
-                    idxs.append(i)
-            results.append(slots)
-            n_specs += len(spec_list)
-            if idxs:
-                missing.append((gi, idxs, [spec_list[i] for i in idxs]))
-                n_missing += len(idxs)
-        self.hits += n_specs - n_missing
-        self.misses += n_missing
-        if missing:
-            flat = [spec for _, _, specs in missing for spec in specs]
-            self._ensure_baselines(flat)
-            baseline = self._baselines[baseline_key(flat[0])]
+        group_lists = [list(g) for g in groups]
+        owner = [gi for gi, g in enumerate(group_lists) for _ in g]
+
+        def stacked(
+            missing: List[ScenarioSpec], slots: List[int]
+        ) -> Iterator[Tuple[int, RunResult]]:
+            # slots ascend and groups are contiguous, so each group's
+            # misses form one run and the stacked output keeps their order
+            runs = [
+                [spec for _, spec in run]
+                for _, run in itertools.groupby(
+                    zip(slots, missing), key=lambda pair: owner[pair[0]]
+                )
+            ]
             computed = _batch_engine.run_points(
-                [specs for _, _, specs in missing],
-                baseline=baseline,
-                backend=self._backend,
+                runs, baseline=self._baselines[baseline_key(missing[0])]
             )
-            for (gi, idxs, _), group_results in zip(missing, computed):
-                for i, result in zip(idxs, group_results):
-                    self._record(result)
-                    results[gi][i] = result
-        return results  # type: ignore[return-value]  # every slot is filled
+            return enumerate(result for run in computed for result in run)
+
+        flat = iter(list(self._serve(itertools.chain(*group_lists), stacked)))
+        return [list(itertools.islice(flat, len(g))) for g in group_lists]
 
     # -- conveniences ---------------------------------------------------- #
 

@@ -31,9 +31,9 @@ scalar engine's (and hash to identical fingerprints) — the same per-trial
 RNG streams, the same component statistics, the same store entries.  The
 guarantee is enforced, not assumed: ``tests/batch/test_differential.py``
 property-tests batched-vs-scalar equality across randomly generated
-(graph, fault rate, seed) cases, and the sweep/percolation layers expose
-``batch`` switches so any suspected divergence can be bisected at runtime.
-See ``docs/batch.md`` and DESIGN.md §8.
+(graph, fault rate, seed) cases, against the scalar engine kept as the
+reference (:func:`repro.testing.scalar_sweep` for whole sweeps).  See
+``docs/batch.md`` and DESIGN.md §8.
 """
 
 from .engine import run_trials, supports

@@ -109,7 +109,6 @@ def run_trials(
     *,
     baseline: Optional[ExpansionEstimate] = None,
     graph: Optional[Graph] = None,
-    backend: Optional[object] = None,
 ) -> List[RunResult]:
     """Execute homogeneous trials as one batched evaluation.
 
@@ -125,7 +124,7 @@ def run_trials(
     specs = list(specs)
     if not specs:
         return []
-    return run_points([specs], baseline=baseline, graph=graph, backend=backend)[0]
+    return run_points([specs], baseline=baseline, graph=graph)[0]
 
 
 def _group_masks(
@@ -151,7 +150,6 @@ def run_points(
     *,
     baseline: Optional[ExpansionEstimate] = None,
     graph: Optional[Graph] = None,
-    backend: Optional[object] = None,
 ) -> List[List[RunResult]]:
     """Execute several grid points sharing one graph as stacked batches.
 
@@ -242,7 +240,7 @@ def run_points(
         fault_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        labels = batched_connected_components(graph, alive, backend=backend)
+        labels = batched_connected_components(graph, alive)
         n_components, largest = batched_component_stats(labels)
         n_alive = alive.sum(axis=1, dtype=np.int64)
         analyze_s = time.perf_counter() - t0

@@ -876,11 +876,7 @@ def experiment_e8_percolation_table(
         provenance.append(_graph_provenance(gspec))
         graph, _ = sess.resolve_graph(gspec)
         est = estimate_critical_probability(
-            graph, mode=mode, n_trials=n_trials, tol=tol, seed=ints[2 * i + 1],
-            # honour the session's execution strategy: --no-batch must
-            # reach the percolation kernels too (bisection escape hatch)
-            batch=getattr(sess, "batch", "auto") is not False,
-            backend=getattr(sess, "backend", None),
+            graph, mode=mode, n_trials=n_trials, tol=tol, seed=ints[2 * i + 1]
         )
         lit = known[family]
         lit_lo = float(lit.p_star(params))

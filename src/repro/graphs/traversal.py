@@ -302,12 +302,106 @@ def _directed_slot_pairs(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     return graph.index.directed_slot_pairs
 
 
+def _sv_labels(
+    graph: Graph, alive: np.ndarray, keep: Optional[np.ndarray]
+) -> np.ndarray:
+    """Mask-parallel Shiloach–Vishkin labelling of ``T >= 1`` trials on a
+    graph with at least one edge (``keep``: ``None`` or a ``(T, 2m)``
+    directed-slot mask).
+
+    Each round (1) takes the minimum label over every surviving edge via
+    one ``(T, 2m)`` gather + ``minimum.reduceat``, (2) *hooks the roots*
+    — a node that just learned a smaller label scatters it onto its old
+    root, so whole clusters merge per round instead of single hops — and
+    (3) pointer-jumps ``label ← label[label]`` to a fixpoint, which
+    compresses chains exponentially.  Convergence is O(log n)-ish rounds,
+    every round a handful of whole-matrix numpy ops regardless of T.
+    """
+    idx = graph.index
+    n = graph.n
+    T = alive.shape[0]
+    # labels are node ids < n, so a compact dtype halves the memory
+    # traffic of the per-round gathers (the hot cost at sweep scale)
+    dtype = np.int32 if n + 1 <= np.iinfo(np.int32).max else np.int64
+    sent = dtype(n)  # sentinel label: "no alive node"
+    full = np.where(alive, np.arange(n, dtype=dtype)[None, :], sent)
+    # reduceat needs every segment start in range, and a degree-0
+    # node's empty segment would otherwise swallow part of its
+    # neighbour's.  One identity column appended to the gather keeps
+    # the starts untouched; whatever reduceat reports for empty
+    # segments is overwritten below.
+    starts = idx.starts
+    isolated = idx.isolated
+    has_isolated = idx.has_isolated
+    m2 = graph.indices.shape[0]
+    # Rows (trials) are independent, so a row whose round produced no
+    # change is final.  Stacked calls mix rows that converge at very
+    # different speeds (a probe ladder spans sub- and near-critical q),
+    # and dropping finished rows keeps each round's gathers sized to
+    # the rows still moving instead of the slowest straggler.
+    act_idx = np.arange(T)
+    labels = full
+    act_alive = alive
+    act_keep = keep
+    while act_idx.size:
+        A = labels.shape[0]
+        rows = np.arange(A)[:, None]
+        padded = np.empty((A, n + 1), dtype=dtype)
+        gathered = np.empty((A, m2 + 1), dtype=dtype)
+        gathered[:, m2] = sent
+        padded[:, :n] = labels
+        padded[:, n] = sent
+        gathered[:, :m2] = padded[:, graph.indices]  # neighbour labels
+        if act_keep is not None:
+            gathered[:, :m2][~act_keep] = sent
+        nbr_min = np.minimum.reduceat(gathered, starts, axis=1)
+        if has_isolated:
+            nbr_min[:, isolated] = sent
+        new = np.minimum(labels, nbr_min)
+        new = np.where(act_alive, new, sent)
+        # hook the roots: a node that just learned a smaller label
+        # scatters it onto its *old* root, so the whole old cluster
+        # can follow in this round's jumps instead of one hop per round
+        t_idx, v_idx = np.nonzero(new != labels)
+        if t_idx.size:
+            old_roots = labels[t_idx, v_idx].astype(np.int64)
+            flat = t_idx * np.int64(n + 1) + old_roots
+            padded[:, :n] = new
+            padded[:, n] = sent
+            np.minimum.at(padded.ravel(), flat, new[t_idx, v_idx])
+            # dead nodes already read sent from ``new`` and the scatter
+            # only targets alive roots, so no re-masking is needed
+            new = padded[:, :n].copy()
+        # pointer jump to a fixpoint: each pass composes the label map
+        # with itself, so chains shorten geometrically.  Dead nodes hold
+        # the sentinel and ``padded[:, n] = sent``, so the gather maps
+        # sent -> sent without an explicit mask.
+        while True:
+            padded[:, :n] = new
+            padded[:, n] = sent
+            jumped = padded[rows, new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        changed = np.any(new != labels, axis=1)
+        full[act_idx] = new
+        if not changed.all():
+            if not changed.any():
+                break
+            act_idx = act_idx[changed]
+            new = new[changed]
+            act_alive = act_alive[changed]
+            if act_keep is not None:
+                act_keep = act_keep[changed]
+        labels = new
+    return np.where(alive, full.astype(np.int64), np.int64(-1))
+
+
 def batched_connected_components(
     graph: Graph,
     alive: Optional[np.ndarray] = None,
     *,
     edge_alive: Optional[np.ndarray] = None,
-    backend: Optional[object] = None,
 ) -> np.ndarray:
     """Connected-component labels for ``T`` masked trials at once.
 
@@ -321,11 +415,6 @@ def batched_connected_components(
         :meth:`Graph.edge_array` order (bond trials).  Composable with
         ``alive``: an edge conducts only if it survived *and* both its
         endpoints are alive.
-    backend:
-        Backend selector forwarded to
-        :func:`repro.backend.resolve_backend` (``None`` → environment
-        default).  Every backend produces the same canonical labels, so
-        this only affects speed.
 
     Returns
     -------
@@ -336,11 +425,8 @@ def batched_connected_components(
         results of the right shape.
 
     Validation, the ``edge_alive`` → directed-slot expansion and the
-    degenerate cases live here; the hot labelling loop is delegated to
-    the resolved :mod:`repro.backend` implementation (Shiloach–Vishkin
-    over whole matrices for numpy, a JIT-compiled per-trial flood fill
-    for numba).  Both produce the canonical labels above, so backend
-    choice never changes results.
+    degenerate cases live here; the labelling itself is a
+    Shiloach–Vishkin loop over whole matrices (:func:`_sv_labels`).
     """
     if alive is None:
         if edge_alive is None:
@@ -370,9 +456,7 @@ def batched_connected_components(
     if T == 0 or n == 0 or graph.indices.size == 0:
         labels = np.where(alive, np.arange(n, dtype=np.int64)[None, :], np.int64(n))
         return np.where(alive, labels, np.int64(-1))
-    from ..backend import resolve_backend
-
-    return resolve_backend(backend).connected_labels(graph, alive, keep)
+    return _sv_labels(graph, alive, keep)
 
 
 def batched_component_stats(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -406,7 +490,6 @@ def batched_largest_component_fraction(
     alive: np.ndarray,
     *,
     edge_alive: Optional[np.ndarray] = None,
-    backend: Optional[object] = None,
 ) -> np.ndarray:
     """``γ`` per trial: largest alive-component size over the *original*
     node count (the paper's §1.1 normalisation), as a ``(T,)`` float array.
@@ -417,9 +500,7 @@ def batched_largest_component_fraction(
     alive = _check_alive_matrix(graph, alive)
     if graph.n == 0:
         return np.zeros(alive.shape[0], dtype=np.float64)
-    labels = batched_connected_components(
-        graph, alive, edge_alive=edge_alive, backend=backend
-    )
+    labels = batched_connected_components(graph, alive, edge_alive=edge_alive)
     _, largest = batched_component_stats(labels)
     return largest / float(graph.n)
 

@@ -56,7 +56,7 @@ class BondPercolationResult:
 
 def bond_percolation(
     graph: Graph, q: float, *, n_trials: int = 20, seed: SeedLike = None,
-    batch: bool = True, backend: object = None,
+    batch: bool = True,
 ) -> BondPercolationResult:
     """Monte-Carlo γ estimate for bond percolation at edge-survival prob ``q``.
 
@@ -91,7 +91,7 @@ def bond_percolation(
             # same stream, same draw as the scalar trial for this seed
             keep[i] = rngs[i].random(m) < q
         alive = np.ones((n_trials, n), dtype=bool)
-        samples[:] = batched_gamma(graph, alive, edge_alive=keep, backend=backend)
+        samples[:] = batched_gamma(graph, alive, edge_alive=keep)
         for value in samples:
             stats.push(float(value))
         return BondPercolationResult(

@@ -78,7 +78,7 @@ def site_percolation_trial(graph: Graph, q: float, seed: SeedLike = None) -> flo
 
 def site_percolation(
     graph: Graph, q: float, *, n_trials: int = 20, seed: SeedLike = None,
-    batch: bool = True, backend: object = None,
+    batch: bool = True,
 ) -> SitePercolationResult:
     """Monte-Carlo γ estimate at survival probability ``q``.
 
@@ -86,8 +86,7 @@ def site_percolation(
     component kernel; ``batch=False`` is the scalar per-trial loop.  The
     two are sample-for-sample identical (the per-trial RNG streams and the
     γ definition are shared), asserted by the differential suite — the
-    switch exists as a bisection aid, not a semantic choice.  ``backend``
-    selects the kernel backend for the batched path (also bit-identical).
+    switch exists as a bisection aid, not a semantic choice.
     """
     q = check_probability(q, "q")
     n_trials = check_positive_int(n_trials, "n_trials")
@@ -104,7 +103,7 @@ def site_percolation(
         for i in range(n_trials):
             # same stream, same draw as the scalar trial for this seed
             alive[i] = as_generator(rngs[i]).random(n) < q
-        samples[:] = batched_gamma(graph, alive, backend=backend)
+        samples[:] = batched_gamma(graph, alive)
         for value in samples:
             stats.push(float(value))
     else:

@@ -87,10 +87,9 @@ def _all_experiment_ids() -> Tuple[str, ...]:
 class PaperConfig:
     """What to run: seed, scale, smoke sizing, experiment subset.
 
-    ``workers`` and ``batch`` affect scheduling/execution strategy only —
-    results are invariant to both by the determinism contract (batched
-    trials are bit-identical to scalar ones) — so neither is part of the
-    manifest config and neither changes table cache keys.
+    ``workers`` affects scheduling only — results are invariant to it by
+    the determinism contract — so it is not part of the manifest config
+    and does not change table cache keys.
     """
 
     seed: int = 0
@@ -98,7 +97,6 @@ class PaperConfig:
     smoke: bool = False
     experiments: Tuple[str, ...] = ()
     workers: Optional[int] = 1
-    batch: Any = "auto"
 
     def __post_init__(self) -> None:
         all_ids = _all_experiment_ids()
@@ -107,10 +105,6 @@ class PaperConfig:
         if unknown:
             raise ValueError(f"unknown experiment id(s): {', '.join(unknown)}")
         object.__setattr__(self, "experiments", wanted)
-        if not (self.batch is True or self.batch is False or self.batch == "auto"):
-            raise ValueError(
-                f"batch must be 'auto', True or False, got {self.batch!r}"
-            )
 
     def runner_kwargs(self, eid: str) -> Dict[str, Any]:
         """The kwargs one experiment runner is invoked with (cache-keyed)."""
@@ -256,7 +250,7 @@ def run_paper(
     out.mkdir(parents=True, exist_ok=True)
     store_path = Path(store) if store is not None else out / "store"
     session = Session(store=str(store_path), workers=config.workers,
-                      refresh=refresh, batch=config.batch)
+                      refresh=refresh)
     say = progress or (lambda _msg: None)
     run = PaperRun(config=config, out=out, tables={}, manifest={})
     for eid in config.experiments:

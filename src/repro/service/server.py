@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.specs import RunResult
 from ..api.store import ResultStore
@@ -46,6 +46,10 @@ from .scheduler import Scheduler, SchedulerError
 
 __all__ = ["ServiceConfig", "SweepService"]
 
+#: Largest ``POST /sweeps`` body the server reads; a larger declared
+#: ``Content-Length`` is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -55,8 +59,6 @@ class ServiceConfig:
     workers: int = 2
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is SweepService.port)
-    batch: Union[str, bool] = "auto"
-    backend: str = "auto"
     job_timeout: float = 300.0
     max_attempts: int = 3
     heartbeat_interval: float = 1.0
@@ -218,8 +220,6 @@ class SweepService:
                 self._events,
                 {
                     "store": str(self.config.store),
-                    "batch": self.config.batch,
-                    "backend": self.config.backend,
                     "fsync": self.config.fsync,
                     "heartbeat_interval": self.config.heartbeat_interval,
                 },
@@ -512,6 +512,18 @@ def _make_handler(service: SweepService):
                 return
             try:
                 length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                # The body stays unread, so this connection cannot carry
+                # another request.
+                self.close_connection = True
+                if length < 0:
+                    self._error(400, "Content-Length must be a non-negative integer")
+                else:
+                    self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+                return
+            try:
                 raw = self.rfile.read(length) if length else b""
                 payload = json.loads(raw.decode("utf-8") or "{}")
                 response, deduped = service.submit(payload)

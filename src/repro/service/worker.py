@@ -47,12 +47,7 @@ def _build_session(config: Dict[str, Any]):
     from ..api.store import ResultStore
 
     store = ResultStore(config["store"], fsync=bool(config.get("fsync", False)))
-    return Session(
-        store=store,
-        workers=1,
-        batch=config.get("batch", "auto"),
-        backend=config.get("backend"),
-    )
+    return Session(store=store, workers=1)
 
 
 def worker_main(
@@ -63,10 +58,8 @@ def worker_main(
 ) -> None:
     """Run the worker loop until the ``None`` sentinel arrives.
 
-    ``config`` keys: ``store`` (shared store directory), ``batch``
-    (execution strategy, as :class:`Session` accepts), ``backend`` (kernel
-    backend selector, as :class:`Session` accepts), ``fsync`` (durable
-    appends), ``heartbeat_interval`` (seconds).
+    ``config`` keys: ``store`` (shared store directory), ``fsync``
+    (durable appends), ``heartbeat_interval`` (seconds).
     """
     from ..api.sweeps import SweepSpec, execute_units
 
@@ -114,9 +107,7 @@ def worker_main(
             ]
             specs = [sweep.trial_spec(points[p], t) for p, t in units]
             hits0, misses0 = session.hits, session.misses
-            results = execute_units(
-                session, units, specs, config.get("batch", "auto")
-            )
+            results = execute_units(session, units, specs)
             event_queue.put(
                 (
                     "done",

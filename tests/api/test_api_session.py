@@ -157,14 +157,6 @@ class TestRunIter:
         assert sorted(calls) == [3, 4, 5, 6, 7]  # only the lost tail re-ran
         assert [r.seed for r in results] == list(range(8))
 
-    def test_unordered_yields_cached_first(self, tmp_path):
-        specs = sweep(6)
-        Session(tmp_path / "s").run_batch(specs[3:])
-        session = Session(tmp_path / "s")
-        seeds = [r.seed for r in session.run_iter(specs, ordered=False)]
-        assert seeds[:3] == [3, 4, 5]  # cached block served instantly
-        assert sorted(seeds) == list(range(6))
-
     def test_fully_cached_iter_yields_everything(self, tmp_path, monkeypatch):
         specs = sweep(5)
         Session(tmp_path / "s").run_batch(specs)

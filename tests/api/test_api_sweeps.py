@@ -15,6 +15,7 @@ from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.sweeps import (
     METRICS,
     Axis,
+    PointView,
     SamplingPolicy,
     SweepSpec,
     run_sweep,
@@ -316,34 +317,47 @@ class TestTrialSeeds:
 # ------------------------------------------------------------------ #
 
 
+def _views(halfwidths, n_finite=None):
+    """Point snapshots with the given CI half-widths; every point has a
+    finite observation unless ``n_finite`` says otherwise."""
+    if n_finite is None:
+        n_finite = [1] * len(halfwidths)
+    return [PointView(h, math.nan, n) for h, n in zip(halfwidths, n_finite)]
+
+
 class TestSamplingPolicy:
     def test_fixed_allocates_once(self):
-        policy = SamplingPolicy()
-        first = policy.allocate([math.inf, math.inf], [0, 0], 5)
+        alloc = SamplingPolicy().allocator()
+        first = alloc.next_requests(_views([math.inf, math.inf]), [0, 0], 5)
         assert first == [(0, 5), (1, 5)]
-        assert policy.allocate([0.1, 0.1], [5, 5], 5) == []
+        assert alloc.next_requests(_views([0.1, 0.1]), [5, 5], 5) == []
 
     def test_ci_width_stops_tight_points(self):
         policy = SamplingPolicy(kind="ci_width", target=0.05, min_trials=2, chunk=3)
-        assert policy.allocate([math.inf, math.inf], [0, 0], 10) == [(0, 2), (1, 2)]
+        alloc = policy.allocator()
+        assert alloc.next_requests(_views([math.inf, math.inf]), [0, 0], 10) == [
+            (0, 2), (1, 2),
+        ]
         # point 0 tight, point 1 noisy
-        assert policy.allocate([0.01, 0.5], [2, 2], 10) == [(1, 3)]
+        assert alloc.next_requests(_views([0.01, 0.5]), [2, 2], 10) == [(1, 3)]
         # cap respected
-        assert policy.allocate([0.01, 0.5], [2, 9], 10) == [(1, 1)]
-        assert policy.allocate([0.01, 0.5], [2, 10], 10) == []
+        assert alloc.next_requests(_views([0.01, 0.5]), [2, 9], 10) == [(1, 1)]
+        assert alloc.next_requests(_views([0.01, 0.5]), [2, 10], 10) == []
 
     def test_budget_spends_on_noisiest(self):
         policy = SamplingPolicy(kind="budget", budget=10, min_trials=2, chunk=4)
-        assert policy.allocate([math.inf] * 3, [0, 0, 0], 99) == [
+        alloc = policy.allocator()
+        assert alloc.next_requests(_views([math.inf] * 3), [0, 0, 0], 99) == [
             (0, 2), (1, 2), (2, 2),
         ]
-        nxt = policy.allocate([0.1, 0.9, 0.2], [2, 2, 2], 99)
+        nxt = alloc.next_requests(_views([0.1, 0.9, 0.2]), [2, 2, 2], 99)
         assert nxt == [(1, 4)]
-        assert policy.allocate([0.1, 0.3, 0.2], [2, 6, 2], 99) == []  # budget spent
+        # budget spent
+        assert alloc.next_requests(_views([0.1, 0.3, 0.2]), [2, 6, 2], 99) == []
 
     def test_budget_never_exceeded(self):
-        policy = SamplingPolicy(kind="budget", budget=5, min_trials=3)
-        first = policy.allocate([math.inf] * 3, [0, 0, 0], 99)
+        alloc = SamplingPolicy(kind="budget", budget=5, min_trials=3).allocator()
+        first = alloc.next_requests(_views([math.inf] * 3), [0, 0, 0], 99)
         assert sum(n for _, n in first) == 5
 
     def test_validation(self):
@@ -399,32 +413,22 @@ class TestSamplingPolicy:
         halfwidth inf forever; pre-fix it won every widest-point pick and
         starved the rest of the grid."""
         policy = SamplingPolicy(kind="budget", budget=20, min_trials=2, chunk=4)
+        alloc = policy.allocator()
         # point 0: 2 trials, no finite observations -> starved
-        nxt = policy.allocate(
-            [math.inf, 0.5], [2, 2], 99, observations=[0, 2]
-        )
+        nxt = alloc.next_requests(_views([math.inf, 0.5], [0, 2]), [2, 2], 99)
         assert nxt == [(1, 4)]
         # all points starved: stop instead of burning budget forever
         assert (
-            policy.allocate(
-                [math.inf, math.inf], [2, 2], 99, observations=[0, 0]
-            )
+            alloc.next_requests(_views([math.inf, math.inf], [0, 0]), [2, 2], 99)
             == []
         )
-        # without observation counts the legacy behaviour holds
-        assert policy.allocate([math.inf, 0.5], [2, 2], 99) == [(0, 4)]
+        # a point with finite observations but no interval yet is not
+        # starved: its infinite half-width still wins the pick
+        assert alloc.next_requests(_views([math.inf, 0.5]), [2, 2], 99) == [(0, 4)]
 
     # -- stateful kinds -------------------------------------------------- #
 
-    def test_stateful_kinds_reject_stateless_allocate(self):
-        for kind in ("cluster", "transition"):
-            policy = SamplingPolicy(kind=kind, target=0.05)
-            with pytest.raises(SpecError):
-                policy.allocate([math.inf], [0], 10)
-
     def test_cluster_allocator_promotes_representatives(self):
-        from repro.api.sweeps import PointView
-
         policy = SamplingPolicy(kind="cluster", target=0.05, min_trials=2, chunk=4)
         alloc = policy.allocator(())
         views = [PointView(math.inf, math.nan, 0)] * 4
@@ -451,8 +455,6 @@ class TestSamplingPolicy:
         assert len(state["clusters"]) == 2
 
     def test_transition_allocator_targets_steep_region(self):
-        from repro.api.sweeps import PointView
-
         policy = SamplingPolicy(
             kind="transition", target=0.05, min_trials=2, chunk=4
         )

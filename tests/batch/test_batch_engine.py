@@ -9,6 +9,7 @@ from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.batch import engine as batch_engine
 from repro.errors import SpecError
+from repro.testing import scalar_sweep
 
 MEASURE_ONLY = AnalysisSpec(mode="node", pruner=None, measure_expansion=False)
 TORUS = GraphSpec("torus", {"sides": 6, "d": 2})
@@ -79,13 +80,6 @@ def test_run_trials_rejects_unsupported_scenarios():
 # --------------------------------------------------------------------- #
 
 
-def test_session_validates_batch_mode():
-    with pytest.raises(SpecError):
-        Session(batch="sometimes")
-    assert Session(batch=True).batch is True
-    assert Session().batch == "auto"
-
-
 def test_session_run_trials_batched_counts_hits(tmp_path):
     specs = [_spec(seed) for seed in range(4)]
     session = Session(store=tmp_path / "store")
@@ -96,14 +90,8 @@ def test_session_run_trials_batched_counts_hits(tmp_path):
     assert [r.fingerprint() for r in first] == [r.fingerprint() for r in second]
 
 
-def test_run_sweep_validates_batch_argument():
-    sweep = SweepSpec(base=_spec(seed=None).with_seed(None), trials=1, seed=1)
-    with pytest.raises(SpecError):
-        run_sweep(sweep, Session(), batch="sometimes")
-
-
 def test_run_sweep_falls_back_to_scalar_for_unbatchable_points():
-    """batch=True on a pruning sweep must still work (scalar fallback)."""
+    """A pruning sweep is unbatchable: run_sweep keeps it scalar."""
     sweep = SweepSpec(
         base=ScenarioSpec(
             graph=TORUS,
@@ -115,23 +103,40 @@ def test_run_sweep_falls_back_to_scalar_for_unbatchable_points():
         seed=5,
         metrics=("surviving_fraction",),
     )
-    forced = run_sweep(sweep, Session(batch=True))
-    scalar = run_sweep(sweep, Session(batch=False))
-    assert forced.fingerprint() == scalar.fingerprint()
+    result = run_sweep(sweep, Session())
+    assert result.fingerprint() == scalar_sweep(sweep).fingerprint()
 
 
-def test_run_sweep_batches_singletons_only_when_forced():
-    """auto leaves 1-trial points scalar; batch=True batches them too —
-    and neither choice is observable in the results."""
-    sweep = SweepSpec(
-        base=_spec(seed=None).with_seed(None),
-        axes=(Axis("fault.params.p", (0.1, 0.6)),),
-        trials=1,
-        seed=3,
-        metrics=("gamma",),
-    )
-    results = {
-        mode: run_sweep(sweep, Session(batch=mode)).fingerprint()
-        for mode in (True, False, "auto")
-    }
-    assert len(set(results.values())) == 1
+def test_run_sweep_batches_singletons_only_when_forced(monkeypatch):
+    """A lone 1-trial point stays on the scalar path; a stack of 2 or more
+    trials — across points or within one — is one run_points_batched
+    call.  Neither path is observable in the results, not even for a
+    forced singleton batch."""
+    calls = []
+    real = Session.run_points_batched
+
+    def counting(self, groups):
+        calls.append([len(g) for g in groups])
+        return real(self, groups)
+
+    monkeypatch.setattr(Session, "run_points_batched", counting)
+    for values, trials, stacked in [
+        ((0.1,), 1, []),
+        ((0.1, 0.6), 1, [[1, 1]]),
+        ((0.1,), 2, [[2]]),
+    ]:
+        sweep = SweepSpec(
+            base=_spec(seed=None).with_seed(None),
+            axes=(Axis("fault.params.p", values),),
+            trials=trials,
+            seed=3,
+            metrics=("gamma",),
+        )
+        calls.clear()
+        result = run_sweep(sweep, Session())
+        assert calls == stacked
+        assert result.fingerprint() == scalar_sweep(sweep).fingerprint()
+    # a forced singleton batch matches the scalar engine too
+    spec = sweep.trial_spec(sweep.points()[0], 0)
+    ((forced,),) = Session().run_points_batched([[spec]])
+    assert forced.fingerprint() == Session().run(spec).fingerprint()

@@ -48,6 +48,7 @@ from repro.graphs.traversal import (
 )
 from repro.percolation.bonds import bond_percolation
 from repro.percolation.sites import site_percolation
+from repro.testing import scalar_sweep
 
 pytestmark = pytest.mark.differential
 
@@ -190,9 +191,9 @@ def _store_entries(path):
 
 def test_store_entries_identical_across_strategies(tmp_path):
     sweep = _sweep()
-    scalar_session = Session(store=tmp_path / "scalar", batch=False)
-    batched_session = Session(store=tmp_path / "batched", batch=True)
-    scalar_result = run_sweep(sweep, scalar_session)
+    scalar_session = Session(store=tmp_path / "scalar")
+    batched_session = Session(store=tmp_path / "batched")
+    scalar_result = scalar_sweep(sweep, scalar_session)
     batched_result = run_sweep(sweep, batched_session)
     assert scalar_result.fingerprint() == batched_result.fingerprint()
     scalar_entries = _store_entries(tmp_path / "scalar")
@@ -204,9 +205,9 @@ def test_store_entries_identical_across_strategies(tmp_path):
 def test_warm_resume_across_strategies(tmp_path):
     """A store written by one strategy fully warms the other."""
     sweep = _sweep()
-    cold = Session(store=tmp_path / "store", batch=False)
-    cold_result = run_sweep(sweep, cold)
-    warm = Session(store=tmp_path / "store", batch=True)
+    cold = Session(store=tmp_path / "store")
+    cold_result = scalar_sweep(sweep, cold)
+    warm = Session(store=tmp_path / "store")
     warm_result = run_sweep(sweep, warm)
     assert (warm.hits, warm.misses) == (15, 0)
     assert warm_result.fingerprint() == cold_result.fingerprint()
@@ -215,13 +216,13 @@ def test_warm_resume_across_strategies(tmp_path):
 def test_partial_resume_mixes_strategies(tmp_path):
     """Half-filled scalar store + batched completion == scalar fingerprint."""
     sweep = _sweep()
-    full = run_sweep(_sweep(), Session(batch=False))
+    full = scalar_sweep(_sweep())
     # persist only the first 2 trials of each point
-    seeding = Session(store=tmp_path / "store", batch=False)
+    seeding = Session(store=tmp_path / "store")
     for point in sweep.points():
         for t in range(2):
             seeding.run(sweep.trial_spec(point, t))
-    resumed = Session(store=tmp_path / "store", batch=True)
+    resumed = Session(store=tmp_path / "store")
     result = run_sweep(sweep, resumed)
     assert resumed.hits == 6 and resumed.misses == 9
     assert result.fingerprint() == full.fingerprint()

@@ -21,6 +21,7 @@ from repro.batch import engine as batch_engine
 from repro.errors import SpecError
 from repro.graphs.generators import mesh
 from repro.percolation.threshold import estimate_critical_probability
+from repro.testing import scalar_sweep
 
 pytestmark = pytest.mark.differential
 
@@ -134,18 +135,9 @@ def _sweep_spec(trials=4):
 
 def test_sweep_fingerprint_identical_across_batch_modes():
     spec = _sweep_spec()
-    stacked = run_sweep(spec, Session(batch=True))
-    auto = run_sweep(spec, Session(batch="auto"))
-    scalar = run_sweep(spec, Session(batch=False))
+    stacked = run_sweep(spec, Session())
+    scalar = scalar_sweep(spec)
     assert stacked.fingerprint() == scalar.fingerprint()
-    assert auto.fingerprint() == scalar.fingerprint()
-
-
-def test_sweep_fingerprint_identical_across_backends():
-    spec = _sweep_spec(trials=3)
-    a = run_sweep(spec, Session(backend="numpy"))
-    b = run_sweep(spec, Session(backend="auto"))
-    assert a.fingerprint() == b.fingerprint()
 
 
 # --------------------------------------------------------------------- #
@@ -220,7 +212,7 @@ def test_scheduler_merge_points_keeps_fingerprint(tmp_path):
                 for t in range(s, s + n)
             ]
             specs = [sweep.trial_spec(points[p], t) for p, t in units]
-            sched.job_done(job.key, execute_units(session, units, specs, "auto"))
+            sched.job_done(job.key, execute_units(session, units, specs))
         assert entry.state == "done"
         return entry.fingerprint, merged_jobs
 

@@ -16,7 +16,7 @@ from repro.service.metrics import Counters
 from repro.service.scheduler import Scheduler, SchedulerError
 
 
-def _drive(scheduler, session, batch="auto"):
+def _drive(scheduler, session):
     """Execute every queued job like a (serial) worker pool would,
     reconstructing the spec from the shipped dict exactly as the real
     worker does."""
@@ -32,7 +32,7 @@ def _drive(scheduler, session, batch="auto"):
         ]
         specs = [sweep.trial_spec(points[job.point_index], t) for _, t in units]
         h0, m0 = session.hits, session.misses
-        results = execute_units(session, units, specs, batch)
+        results = execute_units(session, units, specs)
         scheduler.job_done(
             job.key, results,
             hits=session.hits - h0, misses=session.misses - m0,

@@ -8,6 +8,7 @@ sweeps executed through the service are bit-identical to local
 computation, and a warm store is served without engine calls.
 """
 
+import socket
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.api.sweeps import run_sweep
 from repro.service import ServiceClient, ServiceConfig, ServiceError, SweepService
+from repro.service.server import MAX_BODY_BYTES
 
 
 def _config(store, **overrides):
@@ -149,6 +151,36 @@ class TestEndpoints:
             with pytest.raises(ServiceError) as err:
                 client._request("GET", "/nope")
             assert err.value.status == 404
+
+    @staticmethod
+    def _raw_post(service, content_length):
+        """POST /sweeps with a declared length and no body, keeping the
+        connection open; returns the status code and the rest of what the
+        server sent before closing."""
+        with socket.create_connection(
+            (service.config.host, service.port), timeout=2
+        ) as sock:
+            sock.sendall(
+                b"POST /sweeps HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %s\r\n\r\n" % str(content_length).encode()
+            )
+            reply = sock.makefile("rb")
+            status = int(reply.readline().split()[1])
+            return status, reply.read()
+
+    def test_negative_content_length_is_rejected(self, tmp_path):
+        """A negative length used to make the handler read until the
+        client hung up, pinning its thread."""
+        with SweepService(_config(tmp_path / "svc", workers=1)) as service:
+            status, rest = self._raw_post(service, -1)
+            assert status == 400
+            assert b"Content-Length" in rest
+
+    def test_oversized_content_length_is_refused(self, tmp_path):
+        with SweepService(_config(tmp_path / "svc", workers=1)) as service:
+            status, rest = self._raw_post(service, MAX_BODY_BYTES + 1)
+            assert status == 413
+            assert b"exceeds" in rest
 
     def test_draining_returns_503(self, sweep, tmp_path):
         with SweepService(_config(tmp_path / "svc", workers=1)) as service:
