@@ -36,13 +36,6 @@ from .faults import MASK_SAMPLERS, batched_fault_masks
 
 __all__ = ["supports", "stack_key", "run_trials", "run_points"]
 
-# Soft cap on the bytes the per-round (T, 2m) gather buffer of one
-# stacked kernel call may take.  run_points packs whole point-groups into
-# super-batches under this budget; a single oversized group still runs in
-# one call (matching run_trials' historical behaviour).
-_STACK_BUDGET_BYTES = 256 << 20
-
-
 def supports(spec: ScenarioSpec) -> bool:
     """Whether the batched engine can execute ``spec`` scalar-equivalently.
 
@@ -159,11 +152,12 @@ def run_points(
     :func:`stack_key`; fault models and parameters may differ per group.
 
     The graph is resolved once, the baseline computed once, and all
-    groups' trials are evaluated as rows of stacked ``(ΣT, n)`` alive-mask
-    tensors (packed under a fixed memory budget), so the per-call kernel
-    setup and graph resolution are paid once per *graph* instead of once
-    per *point*.  Masks are sampled per group from the same per-spec seeds
-    the per-point path uses, and the kernel is row-independent, so every
+    groups' trials are evaluated as rows of one stacked ``(ΣT, n)``
+    alive-mask tensor in one kernel call (the kernel bounds its own memory
+    by labelling rows in chunks), so the per-call kernel setup and graph
+    resolution are paid once per *graph* instead of once per *point*.
+    Masks are sampled per group from the same per-spec seeds the
+    per-point path uses, and the kernel is row-independent, so every
     record — and therefore every sweep fingerprint — is bit-identical to
     running :func:`run_trials` per point.
 
@@ -204,87 +198,61 @@ def run_points(
         epsilon = default_epsilon(graph, analysis.mode)
 
     n = graph.n
-    # Pack whole groups into super-batches whose stacked gather buffer
-    # stays under budget; a single oversized group runs alone (one call,
-    # like run_trials always did).
-    bytes_per_row = 4 * (graph.indices.shape[0] + 1)
-    cap_rows = max(1, _STACK_BUDGET_BYTES // max(1, bytes_per_row))
-    batches: List[List[int]] = []
-    current: List[int] = []
-    current_rows = 0
-    for gi, g in enumerate(groups):
-        if current and current_rows + len(g) > cap_rows:
-            batches.append(current)
-            current, current_rows = [], 0
-        current.append(gi)
-        current_rows += len(g)
-    if current:
-        batches.append(current)
+    t0 = time.perf_counter()
+    masks = []
+    kinds = []
+    for h, g in zip(heads, groups):
+        fault_masks, kind = _group_masks(graph, h, g)
+        masks.append(fault_masks)
+        kinds.append(kind)
+    alive = ~np.vstack(masks) if len(masks) > 1 else ~masks[0]
+    timings["fault"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    labels = batched_connected_components(graph, alive)
+    n_components, largest = batched_component_stats(labels)
+    n_alive = alive.sum(axis=1, dtype=np.int64)
+    timings["analyze"] = time.perf_counter() - t0
 
     out: List[List[RunResult]] = [[] for _ in groups]
     baseline_value = float(baseline.value)
     baseline_exact = bool(baseline.exact)
-    total_T = sum(len(g) for g in groups)
-    # amortise the shared wall-clock across the records (provenance only —
-    # timings are excluded from fingerprints and equality): graph/baseline
-    # across every trial, fault/analyze across each super-batch's rows
-    for batch in batches:
-        t0 = time.perf_counter()
-        masks = []
-        kinds = []
-        for gi in batch:
-            fault_masks, kind = _group_masks(graph, heads[gi], groups[gi])
-            masks.append(fault_masks)
-            kinds.append(kind)
-        alive = ~np.vstack(masks) if len(masks) > 1 else ~masks[0]
-        fault_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        labels = batched_connected_components(graph, alive)
-        n_components, largest = batched_component_stats(labels)
-        n_alive = alive.sum(axis=1, dtype=np.int64)
-        analyze_s = time.perf_counter() - t0
-
-        batch_T = alive.shape[0]
-        shared = {
-            "graph": timings["graph"] / total_T,
-            "baseline": timings["baseline"] / total_T,
-            "fault": fault_s / batch_T,
-            "analyze": analyze_s / batch_T,
-        }
-        row = 0
-        for gi, kind in zip(batch, kinds):
-            specs = groups[gi]
-            for spec in specs:
-                i = row
-                row += 1
-                f = int(n - n_alive[i])
-                surviving = graph.original_ids[alive[i]]
-                out[gi].append(
-                    RunResult(
-                        spec=spec,
-                        spec_hash=spec.hash(),
-                        seed=spec.seed,
-                        label=spec.label,
-                        graph_name=graph.name,
-                        n_original=n,
-                        mode=analysis.mode,
-                        fault_kind=kind,
-                        f=f,
-                        fault_fraction=float(f / n if n else 0.0),
-                        faulty_components=int(n_components[i]),
-                        largest_faulty_component=int(largest[i]),
-                        n_surviving=int(n_alive[i]),
-                        surviving_fraction=float(n_alive[i] / n if n else 0.0),
-                        n_culled_sets=0,
-                        prune_iterations=0,
-                        baseline_expansion=baseline_value,
-                        baseline_exact=baseline_exact,
-                        surviving_expansion=None,
-                        expansion_retention=None,
-                        surviving_nodes=tuple(surviving.tolist()),
-                        epsilon=float(epsilon),
-                        timings=dict(shared),
-                    )
+    total_T = alive.shape[0]
+    # amortise the shared wall-clock evenly across the records (provenance
+    # only — timings are excluded from fingerprints and equality)
+    shared = {name: seconds / total_T for name, seconds in timings.items()}
+    row = 0
+    for gi, kind in enumerate(kinds):
+        for spec in groups[gi]:
+            i = row
+            row += 1
+            f = int(n - n_alive[i])
+            surviving = graph.original_ids[alive[i]]
+            out[gi].append(
+                RunResult(
+                    spec=spec,
+                    spec_hash=spec.hash(),
+                    seed=spec.seed,
+                    label=spec.label,
+                    graph_name=graph.name,
+                    n_original=n,
+                    mode=analysis.mode,
+                    fault_kind=kind,
+                    f=f,
+                    fault_fraction=float(f / n if n else 0.0),
+                    faulty_components=int(n_components[i]),
+                    largest_faulty_component=int(largest[i]),
+                    n_surviving=int(n_alive[i]),
+                    surviving_fraction=float(n_alive[i] / n if n else 0.0),
+                    n_culled_sets=0,
+                    prune_iterations=0,
+                    baseline_expansion=baseline_value,
+                    baseline_exact=baseline_exact,
+                    surviving_expansion=None,
+                    expansion_retention=None,
+                    surviving_nodes=tuple(surviving.tolist()),
+                    epsilon=float(epsilon),
+                    timings=dict(shared),
                 )
+            )
     return out

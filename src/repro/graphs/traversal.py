@@ -2,10 +2,13 @@
 
 BFS expands whole frontiers at a time with one neighbour gather per level
 (O(levels) numpy calls instead of O(edges) Python iterations), which is the
-main reason the experiment sweeps run at laptop scale.  Connected components
-are implemented two ways — frontier BFS and union-find over the edge list —
-and cross-checked in tests; BFS is the default as it profiles faster on the
-mesh-like graphs used throughout.
+main reason the experiment sweeps run at laptop scale.
+
+Connected components are labelled three ways, cross-checked in tests: the
+scalar :func:`connected_components` is a frontier BFS over one graph,
+:func:`connected_components_unionfind` is its union-find oracle, and
+:func:`batched_connected_components` labels ``T`` masked trials of one graph
+at once with scipy's ``csgraph`` over their block-diagonal trial graph.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from ..errors import InvalidParameterError, NotConnectedError
 from ..util.unionfind import UnionFind
@@ -270,9 +275,10 @@ def component_summary(graph: Graph) -> ComponentSummary:
 # graph simultaneously.  A trial is a row of a ``(T, n)`` boolean
 # ``alive`` matrix (True = the node survived this trial); bond-style
 # trials use a ``(T, m)`` ``edge_alive`` matrix over ``edge_array()``
-# order instead.  All per-trial loops are replaced by whole-matrix numpy
-# passes over the CSR arrays, so the Python-interpreter cost is O(rounds)
-# instead of O(trials × components × levels).
+# order instead.  All per-trial loops are replaced by whole-matrix passes
+# over the CSR arrays, so the Python-interpreter cost is O(rounds) (or,
+# for components, O(row chunks)) instead of O(trials × components ×
+# levels).
 #
 # Degenerate inputs are *defined*, never raised: T = 0 and n = 0 return
 # correctly-shaped empty results, and a fully-dead row yields zero
@@ -291,110 +297,69 @@ def _check_alive_matrix(graph: Graph, alive: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _directed_slot_pairs(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR slot indices of each undirected edge's two directed copies.
-
-    Returns ``(fwd, rev)`` of length ``m`` where ``fwd[k]``/``rev[k]`` are
-    the flat CSR positions of edge ``k`` (in :meth:`Graph.edge_array`
-    order) as ``u→v`` and ``v→u`` respectively.  Cached on the graph's
-    :class:`~repro.graphs.index.GraphIndex`.
-    """
-    return graph.index.directed_slot_pairs
+#: Bytes the component kernel may hold for one row chunk of the trial
+#: graph.  A chunk holds ``_CHUNK_BYTES // (24 * (n + m))`` rows: labelling
+#: peaks near 20 bytes per trial-graph node or edge (the edge-survival
+#: mask, the int32 CSR arrays, scipy's float64 weights and transpose, the
+#: label arrays).  Any budget below 2**31 bytes also keeps a chunk's node
+#: and edge ids inside scipy's int32 indices.
+_CHUNK_BYTES = 16 << 20
 
 
-def _sv_labels(
-    graph: Graph, alive: np.ndarray, keep: Optional[np.ndarray]
+def _trial_graph_labels(
+    graph: Graph, alive: np.ndarray, edge_alive: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Mask-parallel Shiloach–Vishkin labelling of ``T >= 1`` trials on a
-    graph with at least one edge (``keep``: ``None`` or a ``(T, 2m)``
-    directed-slot mask).
+    """Canonical component labels of ``T >= 1`` trials on a graph with at
+    least one edge, one scipy ``connected_components`` call per row chunk.
 
-    Each round (1) takes the minimum label over every surviving edge via
-    one ``(T, 2m)`` gather + ``minimum.reduceat``, (2) *hooks the roots*
-    — a node that just learned a smaller label scatters it onto its old
-    root, so whole clusters merge per round instead of single hops — and
-    (3) pointer-jumps ``label ← label[label]`` to a fixpoint, which
-    compresses chains exponentially.  Convergence is O(log n)-ish rounds,
-    every round a handful of whole-matrix numpy ops regardless of T.
+    A chunk of ``R`` rows is one block-diagonal *trial graph* on ``R·n``
+    nodes: node ``v`` of row ``t`` is node ``t·n + v``, linked along every
+    edge whose endpoints (and, for bond trials, the edge itself) survived
+    in that row.  Each such edge is passed once, as a directed CSR entry
+    labelled by weak connectivity.  scipy numbers components in an order of
+    its own, so the canonical label — the smallest node id of the
+    component — is a ``minimum.at`` reduction over the members.
     """
-    idx = graph.index
-    n = graph.n
-    T = alive.shape[0]
-    # labels are node ids < n, so a compact dtype halves the memory
-    # traffic of the per-round gathers (the hot cost at sweep scale)
-    dtype = np.int32 if n + 1 <= np.iinfo(np.int32).max else np.int64
-    sent = dtype(n)  # sentinel label: "no alive node"
-    full = np.where(alive, np.arange(n, dtype=dtype)[None, :], sent)
-    # reduceat needs every segment start in range, and a degree-0
-    # node's empty segment would otherwise swallow part of its
-    # neighbour's.  One identity column appended to the gather keeps
-    # the starts untouched; whatever reduceat reports for empty
-    # segments is overwritten below.
-    starts = idx.starts
-    isolated = idx.isolated
-    has_isolated = idx.has_isolated
-    m2 = graph.indices.shape[0]
-    # Rows (trials) are independent, so a row whose round produced no
-    # change is final.  Stacked calls mix rows that converge at very
-    # different speeds (a probe ladder spans sub- and near-critical q),
-    # and dropping finished rows keeps each round's gathers sized to
-    # the rows still moving instead of the slowest straggler.
-    act_idx = np.arange(T)
-    labels = full
-    act_alive = alive
-    act_keep = keep
-    while act_idx.size:
-        A = labels.shape[0]
-        rows = np.arange(A)[:, None]
-        padded = np.empty((A, n + 1), dtype=dtype)
-        gathered = np.empty((A, m2 + 1), dtype=dtype)
-        gathered[:, m2] = sent
-        padded[:, :n] = labels
-        padded[:, n] = sent
-        gathered[:, :m2] = padded[:, graph.indices]  # neighbour labels
-        if act_keep is not None:
-            gathered[:, :m2][~act_keep] = sent
-        nbr_min = np.minimum.reduceat(gathered, starts, axis=1)
-        if has_isolated:
-            nbr_min[:, isolated] = sent
-        new = np.minimum(labels, nbr_min)
-        new = np.where(act_alive, new, sent)
-        # hook the roots: a node that just learned a smaller label
-        # scatters it onto its *old* root, so the whole old cluster
-        # can follow in this round's jumps instead of one hop per round
-        t_idx, v_idx = np.nonzero(new != labels)
-        if t_idx.size:
-            old_roots = labels[t_idx, v_idx].astype(np.int64)
-            flat = t_idx * np.int64(n + 1) + old_roots
-            padded[:, :n] = new
-            padded[:, n] = sent
-            np.minimum.at(padded.ravel(), flat, new[t_idx, v_idx])
-            # dead nodes already read sent from ``new`` and the scatter
-            # only targets alive roots, so no re-masking is needed
-            new = padded[:, :n].copy()
-        # pointer jump to a fixpoint: each pass composes the label map
-        # with itself, so chains shorten geometrically.  Dead nodes hold
-        # the sentinel and ``padded[:, n] = sent``, so the gather maps
-        # sent -> sent without an explicit mask.
-        while True:
-            padded[:, :n] = new
-            padded[:, n] = sent
-            jumped = padded[rows, new]
-            if np.array_equal(jumped, new):
-                break
-            new = jumped
-        changed = np.any(new != labels, axis=1)
-        full[act_idx] = new
-        if not changed.all():
-            if not changed.any():
-                break
-            act_idx = act_idx[changed]
-            new = new[changed]
-            act_alive = act_alive[changed]
-            if act_keep is not None:
-                act_keep = act_keep[changed]
-        labels = new
-    return np.where(alive, full.astype(np.int64), np.int64(-1))
+    T, n = alive.shape
+    m = graph.m
+    edges = graph.index.edge_array
+    src, dst = edges[:, 0], edges[:, 1]
+    edges32 = edges.astype(np.int32)
+    node_ids = np.arange(n, dtype=np.int32)
+    out = np.full((T, n), -1, dtype=np.int64)
+    rows = max(1, _CHUNK_BYTES // (24 * (n + m)))
+    for lo in range(0, T, rows):
+        hi = min(lo + rows, T)
+        size = (hi - lo) * n
+        conducts = alive[lo:hi, src] & alive[lo:hi, dst]
+        if edge_alive is not None:
+            conducts &= edge_alive[lo:hi]
+        # row-major: the surviving edges come out ordered by (row, edge),
+        # and edge_array is sorted by its first endpoint, so the CSR rows
+        # below ascend without a sort
+        flat = np.flatnonzero(conducts).astype(np.int32)
+        del conducts
+        row, edge = np.divmod(flat, np.int32(m))
+        del flat
+        row *= np.int32(n)
+        tails = edges32[edge, 0] + row
+        heads = edges32[edge, 1] + row
+        del row, edge
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(tails, minlength=size), out=indptr[1:])
+        del tails
+        adj = sp.csr_matrix(
+            (np.ones(heads.shape[0]), heads, indptr), shape=(size, size)
+        )
+        n_comp, comp = csgraph.connected_components(
+            adj, directed=True, connection="weak"
+        )
+        # components never span rows, so the minimum over node ids is the
+        # minimum within the component's own row
+        root = np.full(n_comp, n, dtype=np.int32)
+        np.minimum.at(root, comp, np.tile(node_ids, hi - lo))
+        np.copyto(out[lo:hi], root[comp].reshape(hi - lo, n), where=alive[lo:hi])
+    return out
 
 
 def batched_connected_components(
@@ -424,9 +389,9 @@ def batched_connected_components(
         dead nodes get ``-1``.  ``T = 0`` / ``n = 0`` produce empty
         results of the right shape.
 
-    Validation, the ``edge_alive`` → directed-slot expansion and the
-    degenerate cases live here; the labelling itself is a
-    Shiloach–Vishkin loop over whole matrices (:func:`_sv_labels`).
+    Validation and the degenerate cases live here; the labelling itself
+    is one scipy ``csgraph`` pass per row chunk over the block-diagonal
+    trial graph (:func:`_trial_graph_labels`).
     """
     if alive is None:
         if edge_alive is None:
@@ -438,7 +403,6 @@ def batched_connected_components(
     alive = _check_alive_matrix(graph, alive)
     n = graph.n
     T = alive.shape[0]
-    keep = None
     if edge_alive is not None:
         edge_alive = np.asarray(edge_alive)
         if edge_alive.dtype != np.bool_:
@@ -448,15 +412,10 @@ def batched_connected_components(
                 f"edge_alive must have shape ({T}, {graph.m}), "
                 f"got {edge_alive.shape}"
             )
-        if graph.m:
-            fwd, rev = _directed_slot_pairs(graph)
-            keep = np.empty((T, graph.indices.shape[0]), dtype=bool)
-            keep[:, fwd] = edge_alive
-            keep[:, rev] = edge_alive
     if T == 0 or n == 0 or graph.indices.size == 0:
         labels = np.where(alive, np.arange(n, dtype=np.int64)[None, :], np.int64(n))
         return np.where(alive, labels, np.int64(-1))
-    return _sv_labels(graph, alive, keep)
+    return _trial_graph_labels(graph, alive, edge_alive)
 
 
 def batched_component_stats(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

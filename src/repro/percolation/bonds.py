@@ -55,60 +55,33 @@ class BondPercolationResult:
 
 
 def bond_percolation(
-    graph: Graph, q: float, *, n_trials: int = 20, seed: SeedLike = None,
-    batch: bool = True,
+    graph: Graph, q: float, *, n_trials: int = 20, seed: SeedLike = None
 ) -> BondPercolationResult:
     """Monte-Carlo γ estimate for bond percolation at edge-survival prob ``q``.
 
-    ``batch=True`` (default) stacks all trials' Bernoulli edge masks into
-    one ``(trials × m)`` matrix and labels every trial's components in one
-    mask-parallel pass
+    All trials' Bernoulli edge masks stack into one ``(trials × m)``
+    matrix, and one batched pass labels every trial's components
     (:func:`repro.graphs.traversal.batched_connected_components` with
-    ``edge_alive``); ``batch=False`` keeps the historical per-trial
-    union-find loop.  Samples are bit-identical across the two — same
-    spawned stream and same γ per trial — which the differential suite
-    asserts.  Aggregates accumulate online
-    (:class:`~repro.util.stats.OnlineStats`) in trial order either way.
+    ``edge_alive``).  Trial ``i`` draws from the ``i``-th stream of
+    ``spawn(seed, n_trials)``, exactly as :func:`bond_percolation_trial`
+    would, so the samples equal a per-trial loop's bit for bit.
+    Aggregates accumulate online (:class:`~repro.util.stats.OnlineStats`)
+    in trial order.
     """
+    from ..batch.metrics import batched_gamma
+
     q = check_probability(q, "q")
     n_trials = check_positive_int(n_trials, "n_trials")
     rngs = spawn(seed, n_trials)
-    n = graph.n
-    edges = graph.edge_array()
-    m = edges.shape[0]
-    if n == 0:
-        samples = np.zeros(n_trials, dtype=np.float64)
-        return BondPercolationResult(
-            q=q, gamma_mean=0.0, gamma_std=0.0, n_trials=n_trials, samples=samples
-        )
-    samples = np.empty(n_trials, dtype=np.float64)
-    stats = OnlineStats()
-    if batch:
-        from ..batch.metrics import batched_gamma
-
-        keep = np.empty((n_trials, m), dtype=bool)
-        for i in range(n_trials):
-            # same stream, same draw as the scalar trial for this seed
-            keep[i] = rngs[i].random(m) < q
-        alive = np.ones((n_trials, n), dtype=bool)
-        samples[:] = batched_gamma(graph, alive, edge_alive=keep)
-        for value in samples:
-            stats.push(float(value))
-        return BondPercolationResult(
-            q=q,
-            gamma_mean=stats.mean,
-            gamma_std=stats.std if n_trials > 1 else 0.0,
-            n_trials=n_trials,
-            samples=samples,
-        )
+    m = graph.m
+    keep = np.empty((n_trials, m), dtype=bool)
     for i in range(n_trials):
-        uf = UnionFind(n)
-        if m:
-            kept = edges[rngs[i].random(m) < q]
-            if kept.size:
-                uf.union_edges(kept[:, 0], kept[:, 1])
-        samples[i] = uf.max_size / n
-        stats.push(samples[i])
+        keep[i] = rngs[i].random(m) < q
+    alive = np.ones((n_trials, graph.n), dtype=bool)
+    samples = batched_gamma(graph, alive, edge_alive=keep)
+    stats = OnlineStats()
+    for value in samples:
+        stats.push(float(value))
     return BondPercolationResult(
         q=q,
         gamma_mean=stats.mean,

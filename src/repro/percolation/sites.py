@@ -7,15 +7,15 @@ fault experiments convert).  The estimator of interest is
 ``γ(G^{(q)})`` — the expected fraction of (original) nodes in the largest
 surviving component (paper §1.1).
 
-Implementation: the batched default stacks all trials' Bernoulli masks
-into one ``(trials × n)`` alive matrix and hands it to the mask-parallel
-component kernel (:func:`repro.graphs.traversal.batched_connected_components`)
-— one label-propagation pass for the whole trial set, no per-trial
-union-find.  The scalar path (``batch=False``, and
-:func:`site_percolation_trial` which the differential tests compare
-against) keeps the historical one-mask-per-trial union-find; both produce
-bit-identical samples because every trial draws from the same spawned RNG
-stream either way.
+Implementation: :func:`site_percolation` stacks all trials' Bernoulli
+masks into one ``(trials × n)`` alive matrix and hands it to the batched
+component kernel
+(:func:`repro.graphs.traversal.batched_connected_components`) — one pass
+for the whole trial set, no per-trial union-find.
+:func:`site_percolation_trial` is the one-mask union-find trial; the
+differential tests compare the two through
+:func:`repro.testing.scalar_site_percolation`, which loops it over the
+same spawned RNG streams, sample for sample.
 """
 
 from __future__ import annotations
@@ -77,39 +77,30 @@ def site_percolation_trial(graph: Graph, q: float, seed: SeedLike = None) -> flo
 
 
 def site_percolation(
-    graph: Graph, q: float, *, n_trials: int = 20, seed: SeedLike = None,
-    batch: bool = True,
+    graph: Graph, q: float, *, n_trials: int = 20, seed: SeedLike = None
 ) -> SitePercolationResult:
     """Monte-Carlo γ estimate at survival probability ``q``.
 
-    ``batch=True`` (default) evaluates all trials through the batched
-    component kernel; ``batch=False`` is the scalar per-trial loop.  The
-    two are sample-for-sample identical (the per-trial RNG streams and the
-    γ definition are shared), asserted by the differential suite — the
-    switch exists as a bisection aid, not a semantic choice.
+    All trials are evaluated through the batched component kernel.  Trial
+    ``i`` draws its mask from the ``i``-th stream of ``spawn(seed,
+    n_trials)``, exactly as :func:`site_percolation_trial` would, so the
+    samples equal a per-trial loop's bit for bit.
     """
+    from ..batch.metrics import batched_gamma
+
     q = check_probability(q, "q")
     n_trials = check_positive_int(n_trials, "n_trials")
     rngs = spawn(seed, n_trials)
+    n = graph.n
+    alive = np.empty((n_trials, n), dtype=bool)
+    for i in range(n_trials):
+        alive[i] = as_generator(rngs[i]).random(n) < q
+    samples = batched_gamma(graph, alive)
     # Streaming aggregation (Welford), same pattern as the sweep layer —
     # the samples array is kept for callers that post-process trials.
-    samples = np.empty(n_trials, dtype=np.float64)
     stats = OnlineStats()
-    if batch:
-        from ..batch.metrics import batched_gamma
-
-        n = graph.n
-        alive = np.empty((n_trials, n), dtype=bool)
-        for i in range(n_trials):
-            # same stream, same draw as the scalar trial for this seed
-            alive[i] = as_generator(rngs[i]).random(n) < q
-        samples[:] = batched_gamma(graph, alive)
-        for value in samples:
-            stats.push(float(value))
-    else:
-        for i in range(n_trials):
-            samples[i] = site_percolation_trial(graph, q, rngs[i])
-            stats.push(samples[i])
+    for value in samples:
+        stats.push(float(value))
     return SitePercolationResult(
         q=q,
         gamma_mean=stats.mean,

@@ -31,6 +31,7 @@ from typing import List, Literal
 
 import numpy as np
 
+from ..errors import InvalidParameterError
 from ..graphs.graph import Graph
 from ..util.rng import SeedLike, as_generator
 from ..util.validation import check_fraction, check_positive_int
@@ -110,7 +111,6 @@ def estimate_critical_probability(
     seed: SeedLike = None,
     q_lo: float = 0.0,
     q_hi: float = 1.0,
-    batch: bool = True,
     ladder: int = 1,
 ) -> ThresholdEstimate:
     """Bisect for the survival probability where ``E[γ]`` crosses the target.
@@ -128,12 +128,9 @@ def estimate_critical_probability(
     tol:
         Stop when the bracket is narrower than this.
     q_lo, q_hi:
-        Initial bracket; must satisfy γ(q_lo) < target ≤ γ(q_hi) — with the
-        defaults this always holds for connected graphs since γ(1) = 1.
-    batch:
-        Execution strategy for each probe's trials (batched mask-parallel
-        kernels vs scalar union-find) — bit-identical brackets either way;
-        ``False`` is the scalar reference the tests compare against.
+        Initial bracket, ``0 ≤ q_lo < q_hi ≤ 1``; should satisfy
+        γ(q_lo) < target ≤ γ(q_hi) — with the defaults this always holds
+        for connected graphs since γ(1) = 1.
     ladder:
         Probes per batched round.  ``1`` (default) is classical midpoint
         bisection with exactly the historical probe/RNG sequence.
@@ -141,17 +138,22 @@ def estimate_critical_probability(
         in one stacked kernel call (monotone-coupled uniforms), shrinking
         the bracket ``(k+1)×`` per call — same bracketing guarantees,
         different (equally valid) probe schedule, and markedly faster
-        when per-call overhead dominates.  Ignored when ``batch=False``.
+        when per-call overhead dominates.
+
+    Either schedule stops after at most 30 probes.
     """
     gamma_target = check_fraction(gamma_target, "gamma_target")
     n_trials = check_positive_int(n_trials, "n_trials")
     ladder = check_positive_int(ladder, "ladder")
-    rng = as_generator(seed)
-
     lo, hi = float(q_lo), float(q_hi)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise InvalidParameterError(
+            f"need 0 <= q_lo < q_hi <= 1, got q_lo={q_lo}, q_hi={q_hi}"
+        )
+    rng = as_generator(seed)
     probes = 0
 
-    if ladder > 1 and batch:
+    if ladder > 1:
         while hi - lo > tol and probes < _MAX_PROBES:
             k = min(ladder, _MAX_PROBES - probes)
             step = (hi - lo) / (k + 1)
@@ -173,14 +175,10 @@ def estimate_critical_probability(
 
     def gamma(q: float) -> float:
         if mode == "site":
-            return site_percolation(
-                graph, q, n_trials=n_trials, seed=rng, batch=batch
-            ).gamma_mean
-        return bond_percolation(
-            graph, q, n_trials=n_trials, seed=rng, batch=batch
-        ).gamma_mean
+            return site_percolation(graph, q, n_trials=n_trials, seed=rng).gamma_mean
+        return bond_percolation(graph, q, n_trials=n_trials, seed=rng).gamma_mean
 
-    while hi - lo > tol:
+    while hi - lo > tol and probes < _MAX_PROBES:
         mid = 0.5 * (lo + hi)
         g = gamma(mid)
         probes += 1
@@ -188,8 +186,6 @@ def estimate_critical_probability(
             hi = mid
         else:
             lo = mid
-        if probes > _MAX_PROBES:
-            break
     return ThresholdEstimate(
         lo=lo, hi=hi, gamma_target=gamma_target, mode=mode, n_probes=probes
     )

@@ -38,6 +38,9 @@ from repro.api.store import ResultStore
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.batch import engine as batch_engine
+from repro.graphs import traversal
+from repro.graphs.generators import torus
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     batched_bfs_distances,
     batched_component_stats,
@@ -48,7 +51,7 @@ from repro.graphs.traversal import (
 )
 from repro.percolation.bonds import bond_percolation
 from repro.percolation.sites import site_percolation
-from repro.testing import scalar_sweep
+from repro.testing import scalar_bond_percolation, scalar_site_percolation, scalar_sweep
 
 pytestmark = pytest.mark.differential
 
@@ -87,6 +90,63 @@ def test_batched_components_match_scalar_subgraph(g, p, seed, trials):
                 members = survivors[sub_labels == lab]
                 expected[members] = members.min()
         assert np.array_equal(labels[t], expected)
+
+
+def _canonical_labels(g, alive, edge_alive=None):
+    """Scalar reference labels of one trial: BFS components of the induced
+    survivor subgraph (minus dead edges), each alive node labelled with the
+    smallest node id of its component, dead nodes -1."""
+    edges = g.edge_array()
+    keep = alive[edges[:, 0]] & alive[edges[:, 1]]
+    if edge_alive is not None:
+        keep &= edge_alive
+    labels = connected_components(Graph.from_edges(g.n, edges[keep]))
+    smallest = np.full(g.n, g.n, dtype=np.int64)
+    np.minimum.at(smallest, labels, np.arange(g.n))
+    return np.where(alive, smallest[labels], -1)
+
+
+def test_batched_components_match_scalar_at_sweep_scale():
+    """A sweep-sized stack (12 p × 8 trials on a 32×32 torus) and a bond
+    batch label every row exactly like the scalar BFS of that row."""
+    g = torus(sides=32, d=2)
+    rng = np.random.default_rng(2024)
+    ps = np.linspace(0.05, 0.65, 12)
+    alive = np.vstack([rng.random((8, g.n)) >= p for p in ps])
+    assert alive.shape == (96, 1024)
+    labels = batched_connected_components(g, alive)
+    for t in range(alive.shape[0]):
+        assert np.array_equal(labels[t], _canonical_labels(g, alive[t]))
+    edge_alive = rng.random((32, g.m)) < rng.uniform(0.3, 0.7, (32, 1))
+    bond_labels = batched_connected_components(g, edge_alive=edge_alive)
+    all_alive = np.ones(g.n, dtype=bool)
+    for t in range(edge_alive.shape[0]):
+        expected = _canonical_labels(g, all_alive, edge_alive[t])
+        assert np.array_equal(bond_labels[t], expected)
+
+
+def test_chunked_components_equal_one_chunk(monkeypatch):
+    """Row chunks are independent: a budget forcing several chunks gives
+    the labels of one unchunked call, node and bond trials alike."""
+    g = torus(sides=16, d=2)
+    rng = np.random.default_rng(7)
+    alive = rng.random((40, g.n)) < 0.6
+    edge_alive = rng.random((40, g.m)) < 0.8
+    whole = batched_connected_components(g, alive, edge_alive=edge_alive)
+    row_bytes = 24 * (g.n + g.m)
+    monkeypatch.setattr(traversal, "_CHUNK_BYTES", 7 * row_bytes)
+    sizes = []
+    real = traversal.csgraph.connected_components
+
+    def counting(adj, **kwargs):
+        sizes.append(adj.shape[0])
+        return real(adj, **kwargs)
+
+    monkeypatch.setattr(traversal.csgraph, "connected_components", counting)
+    chunked = batched_connected_components(g, alive, edge_alive=edge_alive)
+    # one scipy call per chunk of 7 rows, the last chunk holding the rest
+    assert sizes == [7 * g.n] * 5 + [5 * g.n]
+    assert np.array_equal(chunked, whole)
 
 
 @given(
@@ -240,8 +300,8 @@ def test_partial_resume_mixes_strategies(tmp_path):
 )
 @settings(max_examples=100, deadline=None)
 def test_site_percolation_samples_identical(g, q, seed):
-    batched = site_percolation(g, q, n_trials=5, seed=seed, batch=True)
-    scalar = site_percolation(g, q, n_trials=5, seed=seed, batch=False)
+    batched = site_percolation(g, q, n_trials=5, seed=seed)
+    scalar = scalar_site_percolation(g, q, n_trials=5, seed=seed)
     assert np.array_equal(batched.samples, scalar.samples)
     assert batched.gamma_mean == scalar.gamma_mean
     assert batched.gamma_std == scalar.gamma_std
@@ -254,8 +314,8 @@ def test_site_percolation_samples_identical(g, q, seed):
 )
 @settings(max_examples=100, deadline=None)
 def test_bond_percolation_samples_identical(g, q, seed):
-    batched = bond_percolation(g, q, n_trials=5, seed=seed, batch=True)
-    scalar = bond_percolation(g, q, n_trials=5, seed=seed, batch=False)
+    batched = bond_percolation(g, q, n_trials=5, seed=seed)
+    scalar = scalar_bond_percolation(g, q, n_trials=5, seed=seed)
     assert np.array_equal(batched.samples, scalar.samples)
     assert batched.gamma_mean == scalar.gamma_mean
     assert batched.gamma_std == scalar.gamma_std

@@ -27,6 +27,7 @@ from repro.graphs.traversal import (
 )
 from repro.percolation.bonds import bond_percolation
 from repro.percolation.sites import site_percolation
+from repro.testing import scalar_bond_percolation, scalar_site_percolation
 
 
 @pytest.fixture()
@@ -68,11 +69,12 @@ def test_empty_graph_is_defined_everywhere():
     # the scalar γ shares the 0.0-for-empty convention
     assert largest_component_fraction(g) == 0.0
     # percolation on the empty graph: all-zero samples, both strategies
-    for batch in (True, False):
-        assert site_percolation(g, 0.5, n_trials=3, seed=1, batch=batch
-                                ).samples.tolist() == [0.0] * 3
-        assert bond_percolation(g, 0.5, n_trials=3, seed=1, batch=batch
-                                ).samples.tolist() == [0.0] * 3
+    for site, bond in (
+        (site_percolation, bond_percolation),
+        (scalar_site_percolation, scalar_bond_percolation),
+    ):
+        assert site(g, 0.5, n_trials=3, seed=1).samples.tolist() == [0.0] * 3
+        assert bond(g, 0.5, n_trials=3, seed=1).samples.tolist() == [0.0] * 3
 
 
 # --------------------------------------------------------------------- #
@@ -93,11 +95,14 @@ def test_fully_dead_rows_report_zero_components(square):
 
 def test_all_faulty_percolation_trial_is_zero(square):
     # q = 0 kills every node in every trial — γ must be 0.0, not an error
-    for batch in (True, False):
-        result = site_percolation(square, 0.0, n_trials=4, seed=2, batch=batch)
+    for site, bond in (
+        (site_percolation, bond_percolation),
+        (scalar_site_percolation, scalar_bond_percolation),
+    ):
+        result = site(square, 0.0, n_trials=4, seed=2)
         assert result.samples.tolist() == [0.0] * 4
         # bond q = 0 keeps all nodes but no edges: γ = 1/n exactly
-        result = bond_percolation(square, 0.0, n_trials=4, seed=2, batch=batch)
+        result = bond(square, 0.0, n_trials=4, seed=2)
         assert result.samples.tolist() == [0.25] * 4
 
 

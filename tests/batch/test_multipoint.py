@@ -20,8 +20,9 @@ from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.batch import engine as batch_engine
 from repro.errors import SpecError
 from repro.graphs.generators import mesh
+from repro.percolation import threshold
 from repro.percolation.threshold import estimate_critical_probability
-from repro.testing import scalar_sweep
+from repro.testing import scalar_site_percolation, scalar_sweep
 
 pytestmark = pytest.mark.differential
 
@@ -145,13 +146,16 @@ def test_sweep_fingerprint_identical_across_batch_modes():
 # --------------------------------------------------------------------- #
 
 
-def test_ladder_one_matches_legacy_bisection():
+def test_ladder_one_matches_legacy_bisection(monkeypatch):
     g = mesh([12, 12])
-    legacy = estimate_critical_probability(
-        g, mode="site", n_trials=6, tol=0.05, seed=3, batch=False
-    )
     default = estimate_critical_probability(
-        g, mode="site", n_trials=6, tol=0.05, seed=3, batch=True, ladder=1
+        g, mode="site", n_trials=6, tol=0.05, seed=3, ladder=1
+    )
+    # the legacy bracket: the same bisection with every probe's trials
+    # run as the scalar per-trial loop
+    monkeypatch.setattr(threshold, "site_percolation", scalar_site_percolation)
+    legacy = estimate_critical_probability(
+        g, mode="site", n_trials=6, tol=0.05, seed=3
     )
     assert (default.lo, default.hi, default.n_probes) == (
         legacy.lo, legacy.hi, legacy.n_probes,
