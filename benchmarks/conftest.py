@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.util.tables import format_row_dicts
+from repro.report.tables import format_row_dicts
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -45,12 +45,13 @@ def _linear_scan(store):
     import json
 
     n = 0
-    for _key, raw in store.engine.iter_raw("results"):
-        record = json.loads(raw)
-        result = RunResult.from_dict(record["result"])
-        assert record["key"] == result.spec.hash()
-        assert record["fingerprint"] == result.fingerprint()
-        n += 1
+    for segment in store.segment_files("results"):
+        for raw in segment.read_bytes().splitlines():
+            record = json.loads(raw)
+            result = RunResult.from_dict(record["result"])
+            assert record["key"] == result.spec.hash()
+            assert record["fingerprint"] == result.fingerprint()
+            n += 1
     return n
 
 

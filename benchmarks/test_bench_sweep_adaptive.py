@@ -1,13 +1,12 @@
 """Adaptive sampling three ways on an e5-style disintegration sweep.
 
-The claim the sweep layer has to earn (ROADMAP item 5): the stateful
+The claim the sweep layer has to earn (ROADMAP item 5): the adaptive
 allocators reproduce the fixed-allocation γ(p) curve *within confidence
 intervals* at a fraction of the trials.  Three policies run the same
 grid:
 
+* ``fixed`` — every point gets the full ``TRIALS_CAP``;
 * ``ci_width`` — the PR3 baseline: tighten every point to ``target``;
-* ``cluster`` — bootstrap, cluster points by observed response, spend
-  only on cluster representatives and map results back;
 * ``transition`` — fit the curve online and concentrate trials where
   predicted |dγ/dp| × CI half-width peaks, relaxing width targets on
   plateaus and where a tighter CI could not move the fitted curve by
@@ -31,9 +30,6 @@ from repro.api.sweeps import Axis, SamplingPolicy, SweepSpec, run_sweep
 P_VALUES = (0.05, 0.12, 0.20, 0.30, 0.40, 0.45, 0.50, 0.60, 0.75)
 TRIALS_CAP = 40
 TARGET_HALFWIDTH = 0.025
-#: Cluster members inherit their representative's stats; their agreement
-#: slack is the clustering resolution (means within 2 × target merge).
-CLUSTER_TOL = 2.0 * TARGET_HALFWIDTH
 
 
 def _sweep(policy: SamplingPolicy) -> SweepSpec:
@@ -60,13 +56,9 @@ def _adaptive(kind: str) -> SamplingPolicy:
 
 def _run_all():
     results = {"fixed": run_sweep(_sweep(SamplingPolicy()), Session())}
-    for kind in ("ci_width", "cluster", "transition"):
+    for kind in ("ci_width", "transition"):
         results[kind] = run_sweep(_sweep(_adaptive(kind)), Session())
     return results
-
-
-def _agreement_slack(point) -> float:
-    return CLUSTER_TOL if point.provenance == "cluster" else 0.0
 
 
 def test_bench_sweep_adaptive(benchmark, report_table, results_dir):
@@ -82,7 +74,7 @@ def test_bench_sweep_adaptive(benchmark, report_table, results_dir):
             "fixed_gamma": round(sf.mean, 4),
             "fixed_hw": round(sf.halfwidth, 4),
         }
-        for kind in ("ci_width", "cluster", "transition"):
+        for kind in ("ci_width", "transition"):
             pa = results[kind].points[idx]
             sa = pa.stats["gamma"]
             row[f"{kind}_trials"] = pa.n_trials
@@ -90,7 +82,7 @@ def test_bench_sweep_adaptive(benchmark, report_table, results_dir):
         rows.append(row)
     totals = {"p": "TOTAL", "fixed_trials": fixed.total_trials,
               "fixed_gamma": "", "fixed_hw": ""}
-    for kind in ("ci_width", "cluster", "transition"):
+    for kind in ("ci_width", "transition"):
         totals[f"{kind}_trials"] = results[kind].total_trials
         totals[f"{kind}_gamma"] = ""
     rows.append(totals)
@@ -110,11 +102,11 @@ def test_bench_sweep_adaptive(benchmark, report_table, results_dir):
             k: round(
                 results[k].total_trials / results["ci_width"].total_trials, 4
             )
-            for k in ("cluster", "transition")
+            for k in ("transition",)
         },
         "ratio_vs_fixed": {
             k: round(results[k].total_trials / fixed.total_trials, 4)
-            for k in ("ci_width", "cluster", "transition")
+            for k in ("ci_width", "transition")
         },
         "fingerprints": {k: r.fingerprint() for k, r in results.items()},
     }
@@ -131,15 +123,12 @@ def test_bench_sweep_adaptive(benchmark, report_table, results_dir):
         f"transition spent {transition.total_trials} "
         f"of ci_width's {ci_width.total_trials}"
     )
-    # cluster never exceeds the baseline's spend
-    assert results["cluster"].total_trials <= ci_width.total_trials
     # every policy reproduces the fixed γ(p) curve within the joint CI
-    # (cluster-mapped members get the clustering-resolution slack)
-    for kind in ("ci_width", "cluster", "transition"):
+    for kind in ("ci_width", "transition"):
         for pa, pf in zip(results[kind].points, fixed.points):
             sa, sf = pa.stats["gamma"], pf.stats["gamma"]
             assert abs(sa.mean - sf.mean) <= (
-                sa.halfwidth + sf.halfwidth + _agreement_slack(pa) + 1e-9
+                sa.halfwidth + sf.halfwidth + 1e-9
             ), (
                 f"{kind} p={pa.coord_dict()['fault.params.p']} diverges "
                 f"from the fixed curve"

@@ -32,7 +32,7 @@ from repro.api import (
     SweepSpec,
     run_sweep,
 )
-from repro.util.tables import format_row_dicts
+from repro.report.tables import format_row_dicts
 
 
 def build_sweep(policy: SamplingPolicy) -> SweepSpec:

@@ -24,7 +24,7 @@ from repro.faults import (
 )
 from repro.graphs.generators import chain_replacement, expander
 from repro.graphs.traversal import component_summary
-from repro.util.tables import format_table
+from repro.report.tables import format_table
 
 
 def attack_table(graph, budget, attacks, analyzer):

@@ -16,7 +16,7 @@ Run with ``PYTHONPATH=src python examples/cached_sweep.py``.
 import tempfile
 
 from repro.api import FaultSpec, GraphSpec, ScenarioSpec, Session
-from repro.util.tables import format_row_dicts
+from repro.report.tables import format_row_dicts
 
 
 def build_sweep():

@@ -21,7 +21,7 @@ from repro.faults import random_node_faults
 from repro.graphs.generators import mesh, torus
 from repro.pruning import prune2
 from repro.span import mesh_boundary_tree, random_compact_set, span_exact
-from repro.util.tables import format_table
+from repro.report.tables import format_table
 
 
 def span_table() -> None:

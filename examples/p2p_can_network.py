@@ -21,7 +21,7 @@ from repro.core import FaultExpansionAnalyzer, bounds
 from repro.graphs.generators import can_overlay
 from repro.graphs.traversal import largest_component
 from repro.routing.paths import stretch_statistics
-from repro.util.tables import format_table
+from repro.report.tables import format_table
 
 
 def main() -> None:

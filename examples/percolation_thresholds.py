@@ -16,7 +16,7 @@ Run:  python examples/percolation_thresholds.py [--scale 2]
 import argparse
 
 from repro.core.experiments import experiment_e8_percolation_table
-from repro.util.tables import format_row_dicts
+from repro.report.tables import format_row_dicts
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 from repro.core import FaultExpansionAnalyzer
 from repro.faults import separator_attack
 from repro.graphs.generators import torus
-from repro.util.tables import format_table
+from repro.report.tables import format_table
 
 
 def main() -> None:

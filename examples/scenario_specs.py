@@ -21,7 +21,7 @@ from repro.api import (
     run,
     run_batch,
 )
-from repro.util.tables import format_row_dicts
+from repro.report.tables import format_row_dicts
 
 
 def main() -> None:

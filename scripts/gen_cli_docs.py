@@ -118,12 +118,6 @@ def generate() -> str:
         parts.append(f"## {title}\n")
         parts.append(blurb + "\n")
         parts.append(f"```text\n$ {invocation}\n{_capture_help(argv)}\n```\n")
-    parts.append(
-        "## `components` — bare component names\n\n"
-        "Legacy plain listing of every registered component name "
-        "(`python -m repro components`); prefer `registry` for signatures "
-        "and metadata.\n"
-    )
     return "\n".join(parts)
 
 

@@ -20,7 +20,6 @@ Usage::
     python -m repro paper diff run-a run-b
     python -m repro cache stats --store sweep-cache
     python -m repro registry
-    python -m repro components
 
 ``run`` executes one scenario spec (a JSON object); ``run-batch`` executes a
 JSON array of specs, deduplicating baseline expansion estimates and fanning
@@ -31,7 +30,7 @@ makes an interrupted sweep resumable — rerun the same command and only the
 missing scenarios execute.  ``--resume`` is shorthand for ``--store`` at the
 default location (``.repro-cache``).  ``cache stats|prune|clear`` inspects
 and maintains a store.  ``registry`` lists every registered component with
-its metadata; ``components`` is the bare-names legacy listing.
+its metadata.
 
 ``sweep`` takes a :class:`repro.api.sweeps.SweepSpec` JSON file (a grid
 over spec fields + trial counts + a sampling policy).  ``sweep plan``
@@ -69,7 +68,7 @@ from pathlib import Path
 
 from .core.experiments import ALL_EXPERIMENTS
 from .errors import ReproError
-from .util.tables import format_row_dicts
+from .report.tables import format_row_dicts
 
 #: Store directory used by ``--resume`` and the ``cache`` subcommand when no
 #: explicit ``--store`` is given.
@@ -180,13 +179,6 @@ def _planned_trials(sweep) -> tuple[int, str]:
             f"{policy.min_trials}..{sweep.trials} per point "
             f"(stop at CI half-width <= {policy.target:g})"
         )
-    if policy.kind == "cluster":
-        budget = f", {policy.budget} total" if policy.budget else ""
-        return sweep.trials, (
-            f"{policy.min_trials} per point, then cluster by response and "
-            f"tighten representatives to half-width <= {policy.target:g} "
-            f"(cap {sweep.trials} per point{budget})"
-        )
     if policy.kind == "transition":
         budget = f", {policy.budget} total" if policy.budget else ""
         return sweep.trials, (
@@ -206,8 +198,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         description="Plan / execute / inspect a declarative sweep "
         "(a SweepSpec JSON file), locally or against a running sweep "
         "service (see 'python -m repro serve'). Sampling policies: fixed, "
-        "ci_width, budget, cluster (run cluster representatives, map "
-        "results back), transition (concentrate trials where the fitted "
+        "ci_width, budget, transition (concentrate trials where the fitted "
         "response curve is steep).",
     )
     sub.add_argument(
@@ -500,17 +491,13 @@ def _cmd_serve(argv: list[str]) -> int:
     )
     sub.add_argument(
         "--job-chunk", type=int, default=None,
-        help="split grid-point trial requests into jobs of at most this "
-        "many trials (default: one job per request)",
+        help="bound every job to at most this many trials; requests for "
+        "compatible grid points share a job up to the bound (default: "
+        "unbounded)",
     )
     sub.add_argument(
         "--fsync", action="store_true",
         help="fsync every result-store append (durable, slower)",
-    )
-    sub.add_argument(
-        "--no-merge-points", action="store_true",
-        help="dispatch one grid point per job instead of merging "
-        "compatible points into stacked multi-point jobs",
     )
     args = sub.parse_args(argv)
     import signal
@@ -526,7 +513,6 @@ def _cmd_serve(argv: list[str]) -> int:
         job_timeout=args.job_timeout,
         max_attempts=args.max_attempts,
         job_chunk=args.job_chunk,
-        merge_points=not args.no_merge_points,
         fsync=args.fsync,
     )
     service = SweepService(config)
@@ -803,17 +789,6 @@ def _cmd_registry(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_components() -> int:
-    from .api import FAULT_MODELS, FINDERS, GENERATORS, PRUNERS
-    from .api import engine as _engine  # noqa: F401  (populates the registries)
-
-    for registry in (GENERATORS, FAULT_MODELS, PRUNERS, FINDERS):
-        print(f"{registry.kind}s:")
-        for name in registry:
-            print(f"  {name}")
-    return 0
-
-
 def _run_experiments(args: argparse.Namespace) -> int:
     wanted = list(ALL_EXPERIMENTS) if "all" in args.experiments else args.experiments
     unknown = [e for e in wanted if e not in ALL_EXPERIMENTS]
@@ -891,9 +866,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "registry":
         return _cmd_registry(argv[1:])
 
-    if argv and argv[0] == "components":
-        return _cmd_components()
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate experiments from 'The Effect of Faults on "
@@ -904,7 +876,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiments",
         nargs="*",
         help="experiment ids (e1..e14) or 'all'; or the subcommands "
-        "run/run-batch/sweep/serve/paper/cache/registry/components",
+        "run/run-batch/sweep/serve/paper/cache/registry",
     )
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -931,7 +903,7 @@ def main(argv: list[str] | None = None) -> int:
             "\nsubcommands: run <spec.json> | run-batch <specs.json> | "
             "sweep <run|plan|status|submit|watch> <sweep.json> | "
             "serve | paper <run|render|diff> | "
-            "cache <stats|prune|clear> | registry | components"
+            "cache <stats|prune|clear> | registry"
         )
         return 0
     return _run_experiments(args)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import SpecError
 
@@ -111,6 +111,18 @@ def _require(d: Mapping[str, Any], key: str, what: str) -> Any:
     if key not in d:
         raise SpecError(f"{what} dict is missing required key {key!r}")
     return d[key]
+
+
+def _convert(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
+    """``convert(value)``, with a wrong-typed JSON field (``null``, a list
+    where a number belongs, a bare number where a list belongs) reported
+    as a :class:`SpecError` rather than a ``TypeError``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(
+            f"{what} has the wrong type: {value!r} ({type(value).__name__})"
+        ) from exc
 
 
 def _reject_unknown(d: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
@@ -302,7 +314,9 @@ class AnalysisSpec:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise SpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.epsilon is not None and not 0 < float(self.epsilon) <= 1:
+        if self.epsilon is not None and not (
+            0 < _convert(float, self.epsilon, "AnalysisSpec.epsilon") <= 1
+        ):
             raise SpecError(f"epsilon must be in (0, 1], got {self.epsilon}")
         object.__setattr__(
             self, "finder_params",
@@ -339,7 +353,9 @@ class AnalysisSpec:
             finder_params=_check_mapping(
                 d.get("finder_params"), "AnalysisSpec.finder_params"
             ),
-            exact_threshold=int(d.get("exact_threshold", 14)),
+            exact_threshold=_convert(
+                int, d.get("exact_threshold", 14), "AnalysisSpec.exact_threshold"
+            ),
             measure_expansion=bool(d.get("measure_expansion", True)),
         )
 
@@ -549,7 +565,7 @@ class RunResult:
         return value
 
     def row(self) -> Dict[str, Any]:
-        """Flat row-dict for :func:`repro.util.tables.format_row_dicts`."""
+        """Flat row-dict for :func:`repro.report.tables.format_row_dicts`."""
         return {
             "label": self.label or self.spec_hash,
             "graph": self.graph_name,

@@ -45,12 +45,10 @@ Robustness properties (unchanged from the single-file store):
   :meth:`compact` / :meth:`prune` rewrites the affected shards (automatic
   once a shard's garbage ratio is high enough).
 
-Legacy stores (single ``results.jsonl``/``baselines.jsonl``/
-``tables.jsonl`` files at the store root, the PR 1–6 layout) are migrated
-into the sharded layout transparently on open.  Migration moves each raw
-line byte-for-byte, so every result and its fingerprint survive
-bit-identically — a sweep against a migrated store fingerprints the same
-as against the original.
+The store is a cache, not data of record: a directory holding files of
+an older layout (single ``results.jsonl``/``baselines.jsonl``/
+``tables.jsonl`` files at the store root) opens as an empty store and
+those files are left untouched.
 
 Maintenance operations: :meth:`stats` (index-served, O(shards)),
 :meth:`compact`, :meth:`prune`, :meth:`clear`.
@@ -163,26 +161,14 @@ class ResultStore:
         self.engine = StorageEngine(self.path, lock=lock, fsync=fsync)
         self.engine.verifier = self._verify_record
         #: Store-wide advisory lock — held by whole-store maintenance
-        #: (:meth:`prune`, :meth:`clear`, legacy migration) so two
-        #: processes never rewrite the layout concurrently.  Appends take
-        #: only their shard's lock.
+        #: (:meth:`prune`, :meth:`clear`) so two processes never rewrite
+        #: the layout concurrently.  Appends take only their shard's lock.
         self.lock: Optional[FileLock] = self.engine._global_lock
         #: Results shipped in via :meth:`remember` (already persisted by
         #: another process) — overlay consulted before the shard indexes.
         self._remembered: Dict[str, RunResult] = {}
 
     # -- engine plumbing -------------------------------------------------- #
-
-    @property
-    def fsync(self) -> bool:
-        return self.engine.fsync
-
-    @fsync.setter
-    def fsync(self, value: bool) -> None:
-        self.engine.fsync = value
-        for kind in self.engine.kinds():
-            for shard in self.engine.shards(kind):
-                shard.fsync = value
 
     @property
     def counters(self):
@@ -193,7 +179,7 @@ class ResultStore:
     def corrupt_entries(self) -> int:
         """Corrupt lines observed since open (heals, scans, lazy rejects)."""
         self.engine.load_all()
-        total = self.engine.migration_corrupt
+        total = 0
         for kind in self.engine.kinds():
             total += sum(s.corrupt_seen for s in self.engine.shards(kind))
         return total
@@ -367,9 +353,9 @@ class ResultStore:
     def stats(self) -> StoreStats:
         """Entry counts, anomaly counts and on-disk size — index-served.
 
-        Unlike the legacy store, this decodes no records: counts come
-        straight from the shard offset indexes, so ``cache stats`` on a
-        million-entry store is instant.
+        This decodes no records: counts come straight from the shard
+        offset indexes, so ``cache stats`` on a million-entry store is
+        instant.
         """
         totals = {
             kind: self.engine.counts(kind) for kind in self.engine.kinds()
@@ -411,31 +397,22 @@ class ResultStore:
             max_age_s=max_age_s,
         )
 
-    def prune(self, keep: Optional[Iterable[ScenarioSpec]] = None) -> Dict[str, int]:
-        """Compact every shard: drop corrupt and superseded lines (and,
-        when ``keep`` is given, every result whose spec is not in
-        ``keep``).
+    def prune(self) -> Dict[str, int]:
+        """Compact every shard: drop corrupt and superseded lines.
 
         Returns ``{"kept": ..., "dropped": ...}`` where ``dropped`` counts
-        every line physically removed: corrupt lines, superseded
-        duplicates, and (with ``keep``) filtered-out results.  Baselines
-        and tables are always compacted but never filtered — they are tiny
-        and shared across scenario sets.
+        every line physically removed: corrupt lines and superseded
+        duplicates, across results, baselines and tables.
         """
-        keep_map = None
-        if keep is not None:
-            wanted = {spec.hash() for spec in keep}
-            keep_map = {"results": lambda key: key in wanted}
         import contextlib
 
         with self.lock if self.lock is not None else contextlib.nullcontext():
-            totals = self.engine.compact(force=True, keep=keep_map)
+            totals = self.engine.compact(force=True)
         self._remembered = {}
         return {
             "kept": self.engine.count("results"),
             "dropped": totals["superseded"]
             + totals["corrupt"]
-            + totals["filtered"]
             + totals["evicted"],
         }
 

@@ -11,13 +11,11 @@ This module makes that shape first-class:
   ``fixed`` (the classic constant count), ``ci_width`` (keep sampling a
   point until its confidence interval is tighter than ``target``),
   ``budget`` (spend a fixed total, each chunk going to the currently
-  noisiest point), ``cluster`` (bootstrap every point, cluster points by
-  observed response, spend the budget on one representative per cluster
-  and map its CI-backed estimate to the members), or ``transition`` (fit
-  the response curve online and concentrate chunks where predicted
-  |dγ/dp| × CI half-width peaks).  Each kind is realised by an
-  :class:`Allocator` state machine (``policy.allocator(points)``) whose
-  decisions are a deterministic function of the aggregate stream.
+  noisiest point), or ``transition`` (fit the response curve online and
+  concentrate chunks where predicted |dγ/dp| × CI half-width peaks).
+  Each kind is realised by an :class:`Allocator` state machine
+  (``policy.allocator(points)``) whose decisions are a deterministic
+  function of the aggregate stream.
 * :class:`SweepSpec` — the frozen, JSON-round-trippable record tying the
   above together with a trial count, a sweep seed and a seed policy.  It
   expands *deterministically* into ``(ScenarioSpec, trial index)`` work
@@ -83,6 +81,7 @@ from .specs import (
     GraphSpec,
     RunResult,
     ScenarioSpec,
+    _convert,
     canonical_json,
 )
 
@@ -265,7 +264,9 @@ class Axis:
             raise SpecError(f"Axis dict has unknown key(s) {unknown}")
         if "path" not in d or "values" not in d:
             raise SpecError("Axis dict needs 'path' and 'values'")
-        return cls(path=d["path"], values=tuple(d["values"]))
+        return cls(
+            path=d["path"], values=_convert(tuple, d["values"], "Axis.values")
+        )
 
     def __hash__(self) -> int:
         return hash(canonical_json(self.to_dict()))
@@ -294,7 +295,7 @@ def _set_path(d: Dict[str, Any], path: str, value: Any) -> None:
 # Sampling policy + allocator state machines
 # --------------------------------------------------------------------- #
 
-_POLICY_KINDS = ("fixed", "ci_width", "budget", "cluster", "transition")
+_POLICY_KINDS = ("fixed", "ci_width", "budget", "transition")
 
 
 class PointView(NamedTuple):
@@ -349,12 +350,6 @@ class SamplingPolicy:
       already tight).  Points that spent ``min_trials`` without a single
       finite observation are *starved* — excluded from widest-point
       selection so an all-NaN point cannot swallow the whole budget.
-    * ``cluster`` — after a ``min_trials`` bootstrap of every point, grid
-      points are clustered by observed primary-metric response (means
-      within ``2 × target`` share a cluster), one representative per
-      cluster is driven to CI half-width ≤ ``target`` (cap
-      ``SweepSpec.trials``, optional total ``budget``), and its CI-backed
-      estimate is mapped back to the members with provenance flags.
     * ``transition`` — after the bootstrap, the response curve over the
       leading numeric axis is fitted online (logistic / isotonic,
       whichever fits better) and each round's ``chunk`` goes where
@@ -415,7 +410,7 @@ class SamplingPolicy:
             raise SpecError(f"chunk must be >= 1, got {self.chunk}")
         if self.min_trials < 1:
             raise SpecError(f"min_trials must be >= 1, got {self.min_trials}")
-        if self.kind in ("ci_width", "cluster", "transition"):
+        if self.kind in ("ci_width", "transition"):
             if self.target is None:
                 raise SpecError(
                     f"{self.kind} policy needs a positive 'target'"
@@ -497,7 +492,7 @@ class Allocator:
     driver hands it the current :class:`PointView` snapshots plus the
     per-point allocation counts, and it answers with ``(point index,
     extra trials)`` requests (empty = the sweep is complete).  Decisions —
-    including any internal state such as cluster assignments — must be a
+    including any internal state such as a fitted curve — must be a
     pure function of the deterministic aggregate stream, never of
     wall-clock, worker count or completion order; that is what keeps
     ``workers=1`` vs ``N``, fresh vs resumed, and local vs distributed
@@ -519,11 +514,6 @@ class Allocator:
         max_trials: int,
     ) -> List[Tuple[int, int]]:
         raise NotImplementedError
-
-    def mapping(self) -> Optional[List[int]]:
-        """Per-point stats-source index (cluster representatives), or
-        ``None`` when every point's stats are its own."""
-        return None
 
     def state(self) -> Dict[str, Any]:
         """JSON-safe introspection payload (the service status surface)."""
@@ -608,86 +598,6 @@ class _BudgetAllocator(Allocator):
             return []
         widest = max(candidates, key=lambda i: (views[i].halfwidth, -i))
         return [(widest, min(policy.chunk, remaining))]
-
-
-class _ClusterAllocator(Allocator):
-    """Snapshot-clustering allocation: bootstrap → cluster → representatives.
-
-    After the bootstrap round, grid points are grouped by observed
-    primary-metric mean (sorted sweep; a point joins the current cluster
-    while its mean is within ``2 × target`` of the cluster anchor).  Each
-    cluster's representative — the member closest to the cluster mean —
-    is then driven to CI half-width ≤ ``target`` exactly like ``ci_width``
-    while the members stop sampling; :meth:`mapping` lets the driver map
-    the representative's CI-backed stats back to the members with
-    provenance flags.  The assignment is computed once, from bootstrap
-    aggregates only, so it is a pure function of the fold stream.
-    """
-
-    kind = "cluster"
-
-    def __init__(self, policy, points=()):
-        super().__init__(policy, points)
-        self._assignment: Optional[List[int]] = None
-
-    def _cluster(self, views: Sequence[PointView]) -> List[int]:
-        n = len(views)
-        tol = 2.0 * self.policy.target
-        live = [i for i in range(n) if views[i].n_finite > 0]
-        assignment = list(range(n))  # starved points stay singletons
-        clusters: List[List[int]] = []
-        anchor = math.nan
-        for i in sorted(live, key=lambda i: (views[i].mean, i)):
-            if clusters and abs(views[i].mean - anchor) <= tol:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-                anchor = views[i].mean
-        for members in clusters:
-            centre = sum(views[i].mean for i in members) / len(members)
-            rep = min(members, key=lambda i: (abs(views[i].mean - centre), i))
-            for i in members:
-                assignment[i] = rep
-        return assignment
-
-    def next_requests(self, views, allocated, max_trials):
-        policy = self.policy
-        if any(a == 0 for a in allocated):
-            return self._bootstrap(allocated, max_trials)
-        if self._assignment is None:
-            self._assignment = self._cluster(views)
-        remaining = self._remaining(allocated)
-        requests: List[Tuple[int, int]] = []
-        for r in sorted(set(self._assignment)):
-            view = views[r]
-            if view.n_finite == 0:  # starved singleton: nothing to tighten
-                continue
-            if view.halfwidth > policy.target and allocated[r] < max_trials:
-                give = min(policy.chunk, max_trials - allocated[r])
-                if remaining is not None:
-                    give = min(give, remaining)
-                if give <= 0:
-                    break
-                requests.append((r, give))
-                if remaining is not None:
-                    remaining -= give
-        return requests
-
-    def mapping(self):
-        return None if self._assignment is None else list(self._assignment)
-
-    def state(self):
-        out = {"kind": self.kind, "phase": "bootstrap", "clusters": None}
-        if self._assignment is not None:
-            groups: Dict[int, List[int]] = {}
-            for i, rep in enumerate(self._assignment):
-                groups.setdefault(rep, []).append(i)
-            out["phase"] = "representatives"
-            out["clusters"] = [
-                {"representative": rep, "members": members}
-                for rep, members in sorted(groups.items())
-            ]
-        return out
 
 
 class _TransitionAllocator(Allocator):
@@ -861,7 +771,6 @@ _ALLOCATORS: Dict[str, type] = {
     "fixed": _FixedAllocator,
     "ci_width": _CIWidthAllocator,
     "budget": _BudgetAllocator,
-    "cluster": _ClusterAllocator,
     "transition": _TransitionAllocator,
 }
 
@@ -951,7 +860,8 @@ class SweepSpec:
                 "derived from SweepSpec.seed (set that instead)"
             )
         axes = tuple(
-            a if isinstance(a, Axis) else Axis.from_dict(a) for a in self.axes
+            a if isinstance(a, Axis) else Axis.from_dict(a)
+            for a in _convert(tuple, self.axes, "SweepSpec.axes")
         )
         seen = set()
         for a in axes:
@@ -972,14 +882,19 @@ class SweepSpec:
                 f"seed_policy must be one of {_SEED_POLICIES}, got "
                 f"{self.seed_policy!r}"
             )
-        metrics = tuple(self.metrics)
+        metrics = _convert(tuple, self.metrics, "SweepSpec.metrics")
         if not metrics:
             raise SpecError("SweepSpec needs at least one metric")
         for m in metrics:
-            if m not in METRICS:
+            if not isinstance(m, str) or m not in METRICS:
                 raise SpecError(
                     f"unknown metric {m!r}; registered: {sorted(METRICS)}"
                 )
+        # A repeated name would fold every trial into the same aggregate
+        # twice, halving the variance the adaptive policies stop on.
+        repeated = sorted({m for m in metrics if metrics.count(m) > 1})
+        if repeated:
+            raise SpecError(f"repeated metric name(s) {repeated}")
         object.__setattr__(self, "metrics", metrics)
         if not isinstance(self.policy, SamplingPolicy):
             raise SpecError("SweepSpec.policy must be a SamplingPolicy")
@@ -1109,11 +1024,11 @@ class SweepSpec:
             raise SpecError("SweepSpec dict is missing required key 'base'")
         return cls(
             base=ScenarioSpec.from_dict(d["base"]),
-            axes=tuple(Axis.from_dict(a) for a in d.get("axes", ())),
-            trials=int(d.get("trials", 1)),
-            seed=int(d.get("seed", 0)),
+            axes=d.get("axes", ()),
+            trials=_convert(int, d.get("trials", 1), "SweepSpec.trials"),
+            seed=_convert(int, d.get("seed", 0), "SweepSpec.seed"),
             seed_policy=str(d.get("seed_policy", "scenario")),
-            metrics=tuple(d.get("metrics", ("gamma",))),
+            metrics=d.get("metrics", ("gamma",)),
             policy=SamplingPolicy.from_dict(d.get("policy", {})),
             label=str(d.get("label", "")),
         )
@@ -1306,11 +1221,6 @@ class PointSummary:
     stats: Dict[str, PointStats]
     trial_fingerprints: Tuple[str, ...]
     results: Optional[Tuple[RunResult, ...]] = None
-    #: ``"direct"`` — stats come from this point's own trials;
-    #: ``"cluster"`` — stats were mapped from cluster representative
-    #: ``source`` (the ``cluster`` policy's result mapping).
-    provenance: str = "direct"
-    source: Optional[int] = None
 
     def coord_dict(self) -> Dict[str, Any]:
         return dict(self.coords)
@@ -1323,8 +1233,6 @@ class PointSummary:
             "n_trials": self.n_trials,
             "stats": {m: s.to_dict() for m, s in self.stats.items()},
             "trial_fingerprints": list(self.trial_fingerprints),
-            "provenance": self.provenance,
-            "source": self.source,
         }
 
 
@@ -1356,7 +1264,6 @@ class SweepResult:
         out: List[Dict[str, Any]] = []
         primary = self.primary_metric
         ci_label = f"ci{round(self.sweep.policy.confidence * 100):g}"
-        mapped = any(p.provenance != "direct" for p in self.points)
         for p in self.points:
             row: Dict[str, Any] = {}
             for path, value in p.coords:
@@ -1374,12 +1281,6 @@ class SweepResult:
             )
             for m in self.sweep.metrics[1:]:
                 row[f"{m}_mean"] = _round(p.stats[m].mean)
-            if mapped:
-                row["provenance"] = (
-                    p.provenance
-                    if p.source is None
-                    else f"{p.provenance}<-{p.source}"
-                )
             out.append(row)
         return out
 
@@ -1562,8 +1463,8 @@ class SweepDriver:
         return tuple(self._allocated)
 
     def allocator_state(self) -> Dict[str, Any]:
-        """The allocator's JSON-safe introspection payload (cluster
-        assignments, transition fit choice, …) for the service status."""
+        """The allocator's JSON-safe introspection payload (the transition
+        fit choice, …) for the service status."""
         return self._allocator.state()
 
     def point_snapshots(self) -> List[Dict[str, Any]]:
@@ -1586,18 +1487,9 @@ class SweepDriver:
         ]
 
     def result(self) -> SweepResult:
-        """The aggregated :class:`SweepResult` (valid once :attr:`done`).
-
-        When the allocator clustered the grid (the ``cluster`` policy),
-        each member point's stats are mapped from its representative's
-        CI-backed aggregate, flagged ``provenance="cluster"`` with
-        ``source`` naming the representative; trial fingerprints stay the
-        point's own (they record what actually ran)."""
-        mapping = self._allocator.mapping()
+        """The aggregated :class:`SweepResult` (valid once :attr:`done`)."""
         summaries = []
         for p in self.points:
-            source = mapping[p.index] if mapping is not None else p.index
-            stats_from = source if self._aggs[source].n_finite() else p.index
             summaries.append(
                 PointSummary(
                     index=p.index,
@@ -1605,7 +1497,7 @@ class SweepDriver:
                     label=p.spec.label,
                     n_trials=self._allocated[p.index],
                     stats={
-                        m: self._aggs[stats_from].point_stats(m)
+                        m: self._aggs[p.index].point_stats(m)
                         for m in self.sweep.metrics
                     },
                     trial_fingerprints=tuple(self._fingerprints[p.index]),
@@ -1614,10 +1506,6 @@ class SweepDriver:
                         if self.keep_results
                         else None
                     ),
-                    provenance=(
-                        "direct" if stats_from == p.index else "cluster"
-                    ),
-                    source=None if stats_from == p.index else stats_from,
                 )
             )
         summaries = tuple(summaries)

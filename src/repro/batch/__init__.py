@@ -18,8 +18,6 @@ matrix and evaluates them with the mask-parallel kernels in
   batched counterpart of :func:`repro.api.engine.run` for measure-only
   analyses, plus :func:`~repro.batch.engine.supports`, the eligibility
   test the sweep layer auto-batches on;
-* :mod:`repro.batch.metrics` — batched largest-component (γ) and
-  set-expansion metrics shared with the percolation modules;
 * :mod:`repro.batch.rounds` — sequential-round mask kernels
   (:func:`~repro.batch.rounds.run_rounds`) for fault dynamics that
   iterate, e.g. the load-redistribution cascade.
@@ -38,7 +36,6 @@ reference (:func:`repro.testing.scalar_sweep` for whole sweeps).  See
 
 from .engine import run_trials, supports
 from .faults import MASK_SAMPLERS, batched_fault_masks, register_mask_sampler
-from .metrics import batched_gamma, batched_set_expansion
 from .rounds import cascade_rounds, run_rounds
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "MASK_SAMPLERS",
     "batched_fault_masks",
     "register_mask_sampler",
-    "batched_gamma",
-    "batched_set_expansion",
     "run_rounds",
     "cascade_rounds",
 ]

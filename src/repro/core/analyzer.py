@@ -145,7 +145,7 @@ class FaultExpansionAnalyzer:
         the same streaming pattern as :mod:`repro.api.sweeps`), so memory
         stays constant no matter how many trials a point accumulates.
         Returns row-dicts (render with
-        :func:`repro.util.tables.format_row_dicts`), the same shape the
+        :func:`repro.report.tables.format_row_dicts`), the same shape the
         experiment runners produce.
 
         For cached, resumable, adaptively-sampled sweeps over *declarative*

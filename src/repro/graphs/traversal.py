@@ -41,9 +41,6 @@ __all__ = [
     "batched_connected_components",
     "batched_component_stats",
     "batched_largest_component_fraction",
-    "batched_bfs_distances",
-    "batched_boundary_masks",
-    "batched_boundary_sizes",
 ]
 
 UNREACHED = np.int64(-1)
@@ -462,102 +459,3 @@ def batched_largest_component_fraction(
     labels = batched_connected_components(graph, alive, edge_alive=edge_alive)
     _, largest = batched_component_stats(labels)
     return largest / float(graph.n)
-
-
-def batched_bfs_distances(
-    graph: Graph,
-    sources: np.ndarray,
-    alive: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Multi-source BFS distances for ``T`` masked trials at once.
-
-    ``sources`` is a ``(T, n)`` boolean matrix of distance-0 seeds (each
-    row its own trial); ``alive`` optionally masks each trial to the
-    surviving nodes (dead nodes neither relay nor receive distances).
-    Returns ``(T, n)`` int64 distances with ``-1`` for unreachable or
-    dead nodes.  Unlike the scalar :func:`bfs_distances`, a row with no
-    (alive) sources is defined — it simply stays all ``-1``.
-    """
-    sources = np.asarray(sources)
-    if sources.dtype != np.bool_ or sources.ndim != 2 or sources.shape[1] != graph.n:
-        raise InvalidParameterError(
-            f"sources must be a boolean (T, {graph.n}) matrix, got "
-            f"{sources.shape if sources.ndim == 2 else sources.dtype}"
-        )
-    if alive is None:
-        alive = np.ones_like(sources)
-    else:
-        alive = _check_alive_matrix(graph, alive)
-        if alive.shape[0] != sources.shape[0]:
-            raise InvalidParameterError(
-                "sources and alive must agree on the trial count"
-            )
-    T, n = sources.shape
-    dist = np.full((T, n), UNREACHED, dtype=np.int64)
-    frontier = sources & alive
-    dist[frontier] = 0
-    if T == 0 or n == 0 or graph.indices.size == 0 or not frontier.any():
-        return dist
-    idx = graph.index
-    starts = idx.starts
-    m2 = graph.indices.shape[0]
-    gathered = np.zeros((T, m2 + 1), dtype=bool)  # identity column at m2
-    level = 0
-    while True:
-        level += 1
-        gathered[:, :m2] = frontier[:, graph.indices]  # neighbour-in-frontier
-        reached = np.logical_or.reduceat(gathered, starts, axis=1)
-        if idx.has_isolated:
-            reached[:, idx.isolated] = False
-        fresh = reached & alive & (dist == UNREACHED)
-        if not fresh.any():
-            break
-        dist[fresh] = level
-        frontier = fresh
-    return dist
-
-
-def batched_boundary_masks(
-    graph: Graph,
-    masks: np.ndarray,
-    alive: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Node boundaries ``Γ(S)`` for ``T`` sets at once (one gather).
-
-    ``masks`` holds one candidate set ``S`` per row; the result row marks
-    the alive nodes *outside* ``S`` with at least one neighbour in
-    ``S ∩ alive``.  This is the batched form of the scalar boundary
-    gather behind ``node_expansion_of_set``.
-    """
-    masks = _check_alive_matrix(graph, masks)
-    if alive is not None:
-        alive = _check_alive_matrix(graph, alive)
-        if alive.shape != masks.shape:
-            raise InvalidParameterError("masks and alive must have equal shapes")
-        inside = masks & alive
-    else:
-        inside = masks
-    T, n = masks.shape
-    if T == 0 or n == 0 or graph.indices.size == 0:
-        return np.zeros((T, n), dtype=bool)
-    idx = graph.index
-    m2 = graph.indices.shape[0]
-    gathered = np.zeros((T, m2 + 1), dtype=bool)  # identity column at m2
-    gathered[:, :m2] = inside[:, graph.indices]
-    reached = np.logical_or.reduceat(gathered, idx.starts, axis=1)
-    if idx.has_isolated:
-        reached[:, idx.isolated] = False
-    boundary = reached & ~inside
-    if alive is not None:
-        boundary &= alive
-    return boundary
-
-
-def batched_boundary_sizes(
-    graph: Graph,
-    masks: np.ndarray,
-    alive: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``|Γ(S)|`` per trial — the counting form of
-    :func:`batched_boundary_masks`, shape ``(T,)``."""
-    return batched_boundary_masks(graph, masks, alive).sum(axis=1, dtype=np.int64)

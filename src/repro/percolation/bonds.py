@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..graphs.traversal import batched_largest_component_fraction
 from ..util.rng import SeedLike, as_generator, spawn
 from ..util.stats import OnlineStats
 from ..util.unionfind import UnionFind
@@ -68,8 +69,6 @@ def bond_percolation(
     Aggregates accumulate online (:class:`~repro.util.stats.OnlineStats`)
     in trial order.
     """
-    from ..batch.metrics import batched_gamma
-
     q = check_probability(q, "q")
     n_trials = check_positive_int(n_trials, "n_trials")
     rngs = spawn(seed, n_trials)
@@ -78,7 +77,7 @@ def bond_percolation(
     for i in range(n_trials):
         keep[i] = rngs[i].random(m) < q
     alive = np.ones((n_trials, graph.n), dtype=bool)
-    samples = batched_gamma(graph, alive, edge_alive=keep)
+    samples = batched_largest_component_fraction(graph, alive, edge_alive=keep)
     stats = OnlineStats()
     for value in samples:
         stats.push(float(value))

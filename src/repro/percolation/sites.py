@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..graphs.traversal import batched_largest_component_fraction
 from ..util.rng import SeedLike, as_generator, spawn
 from ..util.stats import OnlineStats
 from ..util.unionfind import UnionFind
@@ -86,8 +87,6 @@ def site_percolation(
     n_trials)``, exactly as :func:`site_percolation_trial` would, so the
     samples equal a per-trial loop's bit for bit.
     """
-    from ..batch.metrics import batched_gamma
-
     q = check_probability(q, "q")
     n_trials = check_positive_int(n_trials, "n_trials")
     rngs = spawn(seed, n_trials)
@@ -95,7 +94,7 @@ def site_percolation(
     alive = np.empty((n_trials, n), dtype=bool)
     for i in range(n_trials):
         alive[i] = as_generator(rngs[i]).random(n) < q
-    samples = batched_gamma(graph, alive)
+    samples = batched_largest_component_fraction(graph, alive)
     # Streaming aggregation (Welford), same pattern as the sweep layer —
     # the samples array is kept for callers that post-process trials.
     stats = OnlineStats()

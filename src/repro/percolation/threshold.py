@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from ..graphs.graph import Graph
+from ..graphs.traversal import batched_largest_component_fraction
 from ..util.rng import SeedLike, as_generator
 from ..util.validation import check_fraction, check_positive_int
 from .bonds import bond_percolation
@@ -78,8 +79,6 @@ def _gamma_ladder(
     alive at every larger ``q`` — so the returned means are monotone in
     ``q`` and one kernel call covers the whole ladder.
     """
-    from ..batch.metrics import batched_gamma
-
     k = len(qs)
     n = graph.n
     if n == 0:
@@ -89,7 +88,7 @@ def _gamma_ladder(
         alive = np.empty((k * n_trials, n), dtype=bool)
         for j, q in enumerate(qs):
             alive[j * n_trials: (j + 1) * n_trials] = uniforms < q
-        samples = batched_gamma(graph, alive)
+        samples = batched_largest_component_fraction(graph, alive)
     else:
         m = graph.m
         uniforms = rng.random((n_trials, m))
@@ -97,7 +96,9 @@ def _gamma_ladder(
         for j, q in enumerate(qs):
             keep[j * n_trials: (j + 1) * n_trials] = uniforms < q
         alive = np.ones((k * n_trials, n), dtype=bool)
-        samples = batched_gamma(graph, alive, edge_alive=keep)
+        samples = batched_largest_component_fraction(
+            graph, alive, edge_alive=keep
+        )
     return samples.reshape(k, n_trials).mean(axis=1)
 
 

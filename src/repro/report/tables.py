@@ -1,8 +1,6 @@
 """Canonical table model + text/markdown renderers for experiment output.
 
-This module owns *all* tabular formatting in the library (the former
-``repro.util.tables`` helpers now live here; that module re-exports them
-for backward compatibility).  Three layers:
+This module owns *all* tabular formatting in the library.  Three layers:
 
 * cell/stringification rules — :func:`fmt_float` and friends, shared by
   every renderer so plain-text experiment output, Markdown reports and the
@@ -164,9 +162,10 @@ def markdown_row_dicts(
 
 def _canonical(payload: Any) -> str:
     # Cycle-safe twin of repro.api.specs.canonical_json: this module sits
-    # below the api package in the import graph (util.tables re-exports
-    # from here), so it cannot import from it.  Same contract: sorted
-    # keys, no whitespace variance, no default= fallback.
+    # below the api package in the import graph (api.engine imports
+    # core.report, which renders through here), so it cannot import from
+    # it.  Same contract: sorted keys, no whitespace variance, no default=
+    # fallback.
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -59,10 +59,6 @@ SERVICE_METRICS: Dict[str, Tuple[str, str]] = {
         "counter",
         "result-store lookups whose key was absent from every index",
     ),
-    "stores_migrated_total": (
-        "counter",
-        "legacy single-file stores migrated to the sharded layout on open",
-    ),
     "jobs_queued": ("gauge", "jobs currently waiting on the priority queue"),
     "jobs_running": ("gauge", "jobs currently executing on a worker"),
     "sweeps_active": ("gauge", "sweeps currently queued or running"),

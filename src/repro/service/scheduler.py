@@ -15,12 +15,13 @@ Responsibilities:
   later — maps to the same entry (one computation, every client polls the
   same id).  Failed/cancelled sweeps are evicted from the dedup table so a
   resubmission retries fresh.
-* **Per-grid-point jobs on a priority queue.**  Each allocation round of a
-  sweep (one :meth:`SweepDriver.next_round`) becomes one job per grid-point
-  request — ``(point index, first trial, n trials)`` — optionally split
-  into ``job_chunk``-sized slices.  The heap orders by (client priority,
-  submission order, creation order), so earlier and more urgent sweeps
-  drain first while rounds stay FIFO within a sweep.
+* **Stacked jobs on a priority queue.**  Each allocation round of a
+  sweep (one :meth:`SweepDriver.next_round`) becomes jobs of
+  ``(point index, first trial, n trials)`` segments: requests whose grid
+  points share a stack key are packed into one job, ``job_chunk`` bounding
+  the trials per job.  The heap orders by (client priority, submission
+  order, creation order), so earlier and more urgent sweeps drain first
+  while rounds stay FIFO within a sweep.
 * **Warm points served from the store.**  A job whose every trial is
   already in the result store is folded straight from the index — counted
   as ``jobs_warm_total`` — and never dispatched; a fully warm sweep
@@ -66,10 +67,9 @@ class Job:
     """One schedulable slice of a sweep round.
 
     ``segments`` is an ordered list of ``(point index, first trial,
-    n trials)`` ranges — one for a plain per-point job (the default), or
-    several when point merging stacked compatible grid points into one
-    dispatch (see :class:`Scheduler` ``merge_points``).  Workers execute
-    the segments in order and return one flat result list.
+    n trials)`` ranges — several when compatible grid points are stacked
+    into one dispatch (see :meth:`Scheduler._job_segments`).  Workers
+    execute the segments in order and return one flat result list.
     """
 
     id: str
@@ -87,19 +87,6 @@ class Job:
         """The dispatch token a worker echoes back; the generation suffix
         lets the scheduler drop completions of superseded attempts."""
         return f"{self.id}:{self.generation}"
-
-    # Single-segment conveniences (every job before point merging existed
-    # had exactly one segment; tests and logs read these):
-
-    @property
-    def point_index(self) -> int:
-        """First segment's grid-point index."""
-        return self.segments[0][0]
-
-    @property
-    def trial_start(self) -> int:
-        """First segment's first trial."""
-        return self.segments[0][1]
 
     @property
     def n_trials(self) -> int:
@@ -144,20 +131,15 @@ class Scheduler:
     max_attempts:
         Total tries a job gets before its sweep fails (first run + requeues).
     job_chunk:
-        Upper bound on trials per job; ``None`` keeps one job per grid-point
-        request (the natural unit).  Splitting only changes scheduling
-        granularity — fold order, and therefore results, are unaffected.
-    merge_points:
-        When true, a round's requests for grid points sharing a
+        Upper bound on trials per job; ``None`` leaves jobs unbounded.  A
+        round's requests for grid points sharing a
         :func:`repro.batch.engine.stack_key` (same graph + analysis) are
         merged into multi-segment jobs, so one worker evaluates all their
         trials as stacked mask tensors
         (:func:`~repro.api.sweeps.execute_units` →
-        :meth:`Session.run_points_batched`).  Merged segments respect
-        ``job_chunk`` as a total-trials bound per job.  Folding stays in
-        request order, so results and fingerprints are unchanged — this is
-        purely a dispatch-granularity/throughput knob (default off; the
-        service turns it on).
+        :meth:`Session.run_points_batched`).  Splitting and merging only
+        change scheduling granularity — fold order, and therefore results
+        and fingerprints, are unaffected.
     """
 
     def __init__(
@@ -167,7 +149,6 @@ class Scheduler:
         *,
         max_attempts: int = 3,
         job_chunk: Optional[int] = None,
-        merge_points: bool = False,
         clock=time.time,
     ) -> None:
         if max_attempts < 1:
@@ -178,7 +159,6 @@ class Scheduler:
         self.counters = counters if counters is not None else Counters()
         self.max_attempts = max_attempts
         self.job_chunk = job_chunk
-        self.merge_points = merge_points
         self.draining = False
         self._clock = clock
         self._lock = threading.RLock()
@@ -480,31 +460,25 @@ class Scheduler:
     ) -> List[List[Tuple[int, int, int]]]:
         """Turn one round's requests into per-job segment lists.
 
-        Without merging: one single-segment job per ``job_chunk`` slice of
-        each request (the historical shape).  With merging: requests whose
-        grid points share a stack key are packed together, ``job_chunk``
-        bounding the *total* trials per merged job.  Request order is
-        preserved within each merged job and across jobs, and
-        :meth:`_fold_round` folds per segment, so results are unchanged.
+        Each request is cut into ``job_chunk`` slices; slices whose grid
+        points share a stack key are packed together, ``job_chunk``
+        bounding the *total* trials per merged job, and an unbatchable
+        slice is a job of its own.  Request order is preserved within each
+        merged job and across jobs, and :meth:`_fold_round` folds per
+        segment, so results are unchanged.
         """
-        chunked: List[Tuple[Optional[str], List[Tuple[int, int, int]]]] = []
-        if self.merge_points:
-            from ..batch import engine as _batch_engine
+        from ..batch import engine as _batch_engine
 
-            keys: Dict[int, Optional[str]] = {}
-            for point_index, start, n in requests:
-                if point_index not in keys:
-                    keys[point_index] = _batch_engine.stack_key(
-                        entry.driver.points[point_index].spec
-                    )
-                key = keys[point_index]
-                for chunk in self._chunks(start, n):
-                    chunked.append((key, [(point_index, *chunk)]))
-        else:
-            for point_index, start, n in requests:
-                for chunk in self._chunks(start, n):
-                    chunked.append((None, [(point_index, *chunk)]))
-            return [segments for _, segments in chunked]
+        chunked: List[Tuple[Optional[str], List[Tuple[int, int, int]]]] = []
+        keys: Dict[int, Optional[str]] = {}
+        for point_index, start, n in requests:
+            if point_index not in keys:
+                keys[point_index] = _batch_engine.stack_key(
+                    entry.driver.points[point_index].spec
+                )
+            key = keys[point_index]
+            for chunk in self._chunks(start, n):
+                chunked.append((key, [(point_index, *chunk)]))
         # greedy pack: consecutive same-key slices merge while the total
         # stays under job_chunk (unbounded when job_chunk is None)
         packed: List[List[Tuple[int, int, int]]] = []

@@ -63,9 +63,6 @@ class ServiceConfig:
     max_attempts: int = 3
     heartbeat_interval: float = 1.0
     job_chunk: Optional[int] = None
-    #: Merge compatible grid points into multi-segment jobs (stacked
-    #: kernel calls on the worker); results are unaffected.
-    merge_points: bool = True
     fsync: bool = False
     drain_timeout: float = 30.0
     #: Service-loop tick (event pump timeout); tests shrink it.
@@ -104,7 +101,6 @@ class SweepService:
             self.counters,
             max_attempts=config.max_attempts,
             job_chunk=config.job_chunk,
-            merge_points=config.merge_points,
         )
         self.started_at: Optional[float] = None
         self._ctx = multiprocessing.get_context("spawn")
@@ -356,7 +352,6 @@ class SweepService:
         c.set_value("store_evictions_total", sc.get("evictions"))
         c.set_value("store_index_hits_total", sc.get("index_hits"))
         c.set_value("store_index_misses_total", sc.get("index_misses"))
-        c.set_value("stores_migrated_total", sc.get("stores_migrated"))
         stats = self.store.stats()
         c.set_gauge("store_segments", stats.segments)
         c.set_gauge(
@@ -407,7 +402,9 @@ class SweepService:
             raise SpecError("sweep submission must be a JSON object")
         priority = 0
         if "sweep" in payload:
-            priority = int(payload.get("priority", 0))
+            priority = payload.get("priority", 0)
+            if isinstance(priority, bool) or not isinstance(priority, int):
+                raise SpecError(f"priority must be an int, got {priority!r}")
             spec_dict = payload["sweep"]
         else:
             spec_dict = payload

@@ -9,11 +9,11 @@ layer owns the on-disk layout and its scaling properties:
   segment files, a persistent sidecar offset index, and a per-shard
   advisory lock so writers of different keys never contend.
 * :class:`~repro.storage.engine.StorageEngine` — the shard router: key →
-  shard placement, lazy per-lookup decode, compaction/eviction policies,
-  and transparent one-time migration of legacy single-file stores.
+  shard placement, lazy per-lookup decode, and compaction/eviction
+  policies.
 * :class:`~repro.storage.counters.StorageCounters` — monotonic operational
-  counters (segments, compactions, evictions, index hits/misses, migrated
-  stores) exported through the service's ``/metrics``.
+  counters (segments, compactions, evictions, index hits/misses) exported
+  through the service's ``/metrics``.
 
 See ``docs/storage.md`` and DESIGN.md §10 for the invariants.
 """

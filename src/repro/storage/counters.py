@@ -27,7 +27,6 @@ COUNTER_FIELDS: Dict[str, str] = {
     "segments_deleted": "segment files removed by compaction or clear",
     "compactions": "shard compactions performed",
     "evictions": "entries evicted by size/age policy",
-    "stores_migrated": "legacy single-file stores migrated on open",
     "tail_scans": "index tail-scans (appends by other processes picked up)",
     "rebuilds": "full shard index rebuilds (missing or invalid sidecar)",
 }

@@ -1,4 +1,4 @@
-"""The shard router: key placement, policies, legacy migration.
+"""The shard router: key placement, compaction and eviction policies.
 
 A :class:`StorageEngine` owns one store directory and splits each record
 *kind* (``results``, ``baselines``, ``tables``) across a fixed number of
@@ -18,23 +18,18 @@ and handed back undecoded; the engine decodes JSON only inside
 :meth:`get_record` (and counts it), which is what keeps warm opens and
 membership checks free of per-record work.
 
-The engine also performs the one-time migration of legacy single-file
-stores (PR1–PR6 layout: ``results.jsonl`` etc. at the store root).  Lines
-are moved **verbatim** — byte-for-byte, in file order — into the shards,
-so every fingerprint embedded in a record survives bit-identically and
-last-entry-wins semantics are preserved (identical keys always land in
-the same shard, in the same order).
+The store is a cache, not data of record: files of any other layout in
+the store directory (such as the single-file ``results.jsonl`` of early
+stores) are neither read nor removed, so such a directory opens cold.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..util.locking import FileLock
 from .counters import StorageCounters
@@ -48,11 +43,6 @@ DEFAULT_SHARDS: Dict[str, int] = {"results": 16, "baselines": 4, "tables": 4}
 DEFAULT_SEGMENT_BYTES = 32 << 20
 
 _META_FILE = "engine.json"
-_LEGACY_FILES = {
-    "results": "results.jsonl",
-    "baselines": "baselines.jsonl",
-    "tables": "tables.jsonl",
-}
 
 #: Auto-compaction fires on append once a shard is at least this fraction
 #: garbage *and* has enough lines for the rewrite to be worth a lock hold.
@@ -101,8 +91,6 @@ class StorageEngine:
                 )
                 for i in range(n)
             ]
-        self._migration_corrupt = 0
-        self._migrate_legacy()
 
     # -- layout ----------------------------------------------------------- #
 
@@ -138,93 +126,11 @@ class StorageEngine:
     def shards(self, kind: str) -> List[Shard]:
         return self._shards[kind]
 
-    # -- legacy migration --------------------------------------------------- #
-
-    def _legacy_files_present(self) -> List[str]:
-        return [
-            kind
-            for kind, name in _LEGACY_FILES.items()
-            if kind in self._shards and (self.path / name).exists()
-        ]
-
-    def _migrate_legacy(self) -> None:
-        """Move PR6-format root files into the shards, verbatim.
-
-        Runs under the store-global lock so two processes opening the same
-        legacy store concurrently migrate exactly once (the loser re-checks
-        after acquiring and finds the files gone).  Each parseable line is
-        appended as its **original bytes**; unparseable lines are dropped
-        and counted, matching the legacy store's corrupt-line tolerance.
-        """
-        if not self._legacy_files_present():
-            return
-        with contextlib.ExitStack() as stack:
-            if self._global_lock is not None:
-                with contextlib.suppress(OSError):
-                    stack.enter_context(self._global_lock)
-            migrated_any = False
-            for kind in self._legacy_files_present():
-                legacy = self.path / _LEGACY_FILES[kind]
-                batches: Dict[int, List[Tuple[str, bytes]]] = {}
-                shards = self._shards[kind]
-                try:
-                    raw = legacy.read_bytes()
-                except OSError:
-                    continue
-                for line in raw.splitlines(keepends=False):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        record = json.loads(stripped)
-                        key = record["key"]
-                        if not isinstance(record, dict) or not isinstance(
-                            key, str
-                        ):
-                            raise ValueError
-                    except (ValueError, KeyError, TypeError):
-                        self._migration_corrupt += 1
-                        self.counters.inc("corrupt")
-                        continue
-                    digest = hashlib.sha256(key.encode("utf-8")).digest()
-                    idx = int.from_bytes(digest[:4], "big") % len(shards)
-                    batches.setdefault(idx, []).append(
-                        (key, bytes(stripped) + b"\n")
-                    )
-                for idx, items in batches.items():
-                    shards[idx].append_many(items)
-                with contextlib.suppress(OSError):
-                    os.unlink(legacy)
-                migrated_any = True
-            if migrated_any:
-                self.counters.inc("stores_migrated")
-
-    @property
-    def migration_corrupt(self) -> int:
-        return self._migration_corrupt
-
-    def export_legacy(self, dest: Path, kind: str = "results") -> int:
-        """Write every live record of ``kind`` to one legacy-format file.
-
-        Raw line bytes are concatenated in append order — the output is a
-        valid PR6 ``results.jsonl`` with identical fingerprints.  Returns
-        the number of records written.  (Used by tests to round-trip
-        new-format stores back to the legacy layout.)
-        """
-        n = 0
-        dest = Path(dest)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        with io.open(dest, "wb") as out:
-            for _key, raw in self.iter_raw(kind):
-                out.write(raw)
-                n += 1
-        return n
-
     # -- record I/O --------------------------------------------------------- #
 
     @staticmethod
     def encode(record: dict) -> bytes:
-        """The canonical line encoding (identical to the legacy store)."""
+        """The canonical line encoding: sorted keys, no whitespace."""
         return (
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         ).encode("utf-8")
@@ -275,7 +181,7 @@ class StorageEngine:
 
         A line that no longer parses, is not a dict, or carries a different
         ``key`` field is discarded from the index (counted corrupt) and the
-        lookup answers None, mirroring the legacy store's tolerance.
+        lookup answers None.
         """
         raw = self.get_raw(kind, key)
         if raw is None:
@@ -305,23 +211,6 @@ class StorageEngine:
 
     def count(self, kind: str) -> int:
         return sum(len(s) for s in self._shards[kind])
-
-    def iter_raw(self, kind: str) -> Iterator[Tuple[str, bytes]]:
-        for shard in self._shards[kind]:
-            yield from shard.iter_raw()
-
-    def iter_live(self, kind: str) -> Iterator[Tuple[str, dict]]:
-        """Decode every live record (bulk path: ``load_all``, exports)."""
-        for key, raw in self.iter_raw(kind):
-            try:
-                record = json.loads(raw)
-                if not isinstance(record, dict) or record.get("key") != key:
-                    raise ValueError
-            except (ValueError, TypeError):
-                self.shard_for(kind, key).discard(key)
-                continue
-            self.counters.inc("records_decoded")
-            yield key, record
 
     def locate(self, kind: str, key: str) -> Optional[Tuple[Path, IndexEntry]]:
         """(segment path, index entry) for a live key — test/debug helper."""
@@ -362,7 +251,6 @@ class StorageEngine:
         kinds: Optional[List[str]] = None,
         force: bool = False,
         min_garbage: float = 0.0,
-        keep: Optional[Dict[str, Callable[[str], bool]]] = None,
         max_bytes: Optional[int] = None,
         max_age_s: Optional[float] = None,
     ) -> Dict[str, int]:
@@ -373,7 +261,7 @@ class StorageEngine:
         ``max_bytes`` is a **global live-bytes budget across all kinds**:
         oldest entries (by index timestamp) are evicted until the projected
         live size fits.  ``max_age_s`` drops entries older than that many
-        seconds.  ``keep`` maps kind → predicate (the prune path).
+        seconds.
         """
         kinds = kinds if kinds is not None else self.kinds()
         drop_keys: Dict[str, set] = {}
@@ -384,15 +272,12 @@ class StorageEngine:
             "superseded": 0,
             "corrupt": 0,
             "evicted": 0,
-            "filtered": 0,
         }
         for kind in kinds:
-            keep_fn = (keep or {}).get(kind)
             kind_drops = drop_keys.get(kind)
             for shard in self._shards[kind]:
                 must = (
                     force
-                    or keep_fn is not None
                     or max_age_s is not None
                     or bool(
                         kind_drops
@@ -402,14 +287,12 @@ class StorageEngine:
                 if not must and shard.garbage_ratio < max(min_garbage, 1e-9):
                     continue
                 result = shard.compact(
-                    keep=keep_fn,
                     drop_keys=kind_drops,
                     max_age_s=max_age_s,
                     verify=self._verify_fn(kind),
                 )
                 for field in totals:
                     totals[field] += result[field]
-        self._migration_corrupt = 0
         return totals
 
     def _size_eviction_plan(
@@ -443,13 +326,11 @@ class StorageEngine:
         for kind in kinds if kinds is not None else self.kinds():
             for shard in self._shards[kind]:
                 shard.clear()
-        self._migration_corrupt = 0
 
     def reload(self) -> None:
         for shards in self._shards.values():
             for shard in shards:
                 shard.reload()
-        self._migrate_legacy()
 
     def load_all(self) -> None:
         for shards in self._shards.values():

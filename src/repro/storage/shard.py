@@ -613,18 +613,6 @@ class Shard:
                         os.close(fd)
             return None
 
-    def iter_raw(self) -> Iterator[Tuple[str, bytes]]:
-        """Live ``(key, raw line)`` pairs in append order."""
-        self.ensure_loaded()
-        with self._mutex:
-            ordered = sorted(
-                self._entries.items(), key=lambda kv: (kv[1].seg, kv[1].off)
-            )
-        for key, entry in ordered:
-            data = self._pread(entry)
-            if data is not None and len(data) == entry.length:
-                yield key, data
-
     def discard(self, key: str) -> None:
         """Drop ``key`` from the index (a lazily detected corrupt record).
 
@@ -644,7 +632,6 @@ class Shard:
     def compact(
         self,
         *,
-        keep: Optional[Callable[[str], bool]] = None,
         drop_keys: Optional[set] = None,
         max_age_s: Optional[float] = None,
         verify: Optional[Callable[[bytes], bool]] = None,
@@ -667,15 +654,12 @@ class Shard:
             before_entries = len(self._entries)
             superseded = self.superseded_current
             corrupt = self._resident_corrupt
-            evicted = filtered = 0
+            evicted = 0
             survivors: List[Tuple[str, bytes, int]] = []
             ordered = sorted(
                 self._entries.items(), key=lambda kv: (kv[1].seg, kv[1].off)
             )
             for key, entry in ordered:
-                if keep is not None and not keep(key):
-                    filtered += 1
-                    continue
                 if drop_keys is not None and key in drop_keys:
                     evicted += 1
                     continue
@@ -739,7 +723,6 @@ class Shard:
                 "superseded": superseded,
                 "corrupt": corrupt,
                 "evicted": evicted,
-                "filtered": filtered,
                 "entries_before": before_entries,
             }
 

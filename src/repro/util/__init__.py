@@ -1,8 +1,6 @@
-"""Shared utilities: RNG normalisation, union-find, validation, tables, timing."""
+"""Shared utilities: RNG normalisation, union-find, validation, statistics."""
 
 from .rng import SeedLike, as_generator, random_subset, spawn
-from .tables import fmt_float, format_row_dicts, format_table
-from .timing import StageTimer, Timer
 from .unionfind import UnionFind
 from .parallel import chunked_map, effective_workers
 from .stats import (
@@ -29,11 +27,6 @@ __all__ = [
     "spawn",
     "random_subset",
     "UnionFind",
-    "Timer",
-    "StageTimer",
-    "format_table",
-    "format_row_dicts",
-    "fmt_float",
     "chunked_map",
     "effective_workers",
     "OnlineStats",

@@ -160,15 +160,6 @@ class TestRegistryCommand:
         assert "generators (" not in out
 
 
-class TestComponentsCommand:
-    def test_lists_registries(self, capsys):
-        assert main(["components"]) == 0
-        out = capsys.readouterr().out
-        for needle in ("generators:", "fault models:", "pruners:", "finders:",
-                       "torus", "random_node", "prune2", "hybrid"):
-            assert needle in out
-
-
 class TestExperimentPathStillWorks:
     def test_list_mentions_subcommands(self, capsys):
         assert main(["--list"]) == 0
@@ -249,6 +240,27 @@ class TestSweepCommand:
         sweep_file.write_text(json.dumps({"axes": []}))
         assert main(["sweep", "run", str(sweep_file)]) == 2
         assert "cannot load sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", None),
+            ("metrics", 7),
+            ("policy", {"kind": "cluster", "target": 0.05}),
+        ],
+    )
+    def test_plan_rejects_bad_field_with_exit_2(
+        self, tmp_path, capsys, sweep_dict, field, value
+    ):
+        """Regression: a wrong-typed field escaped as a TypeError traceback
+        (exit 1) instead of the one-line load error (exit 2)."""
+        sweep_dict[field] = value
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(json.dumps(sweep_dict))
+        assert main(["sweep", "plan", str(sweep_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load sweep from {sweep_file}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_sweep_file(self, tmp_path, capsys):
         assert main(["sweep", "plan", str(tmp_path / "nope.json")]) == 2

@@ -66,6 +66,38 @@ class TestResultRoundTrip:
         assert store.prune() == {"kept": 1, "dropped": 1}
 
 
+class TestOlderLayout:
+    def test_root_jsonl_files_open_cold_and_stay_on_disk(self, tmp_path):
+        """The store is a cache: a directory in the single-file layout of
+        early stores (root results/baselines/tables JSONL) opens as an
+        empty store, and those files are neither read nor removed."""
+        path = tmp_path / "store"
+        path.mkdir()
+        result = run(torus_spec())
+        record = {
+            "key": result.spec.hash(),
+            "seed": result.seed,
+            "label": result.label,
+            "fingerprint": result.fingerprint(),
+            "result": result.to_dict(),
+        }
+        files = {
+            "results.jsonl": json.dumps(record, sort_keys=True) + "\n",
+            "baselines.jsonl": json.dumps({"key": "g:node:14"}) + "\n",
+            "tables.jsonl": json.dumps({"key": "t", "payload": {}}) + "\n",
+        }
+        for name, text in files.items():
+            (path / name).write_text(text)
+        store = ResultStore(path)
+        assert len(store) == 0
+        assert store.get_result(torus_spec()) is None
+        assert store.get_table("t") is None
+        stats = store.stats()
+        assert (stats.results, stats.baselines, stats.tables) == (0, 0, 0)
+        for name, text in files.items():
+            assert (path / name).read_text() == text
+
+
 class TestBaselineRoundTrip:
     def test_baseline_round_trip(self, store):
         spec = torus_spec()
@@ -218,15 +250,6 @@ class TestMaintenance:
         ]
         assert len(lines) == 1  # one clean line survives compaction
         assert ResultStore(store.path).get_result(torus_spec()) == result
-
-    def test_prune_keep_filter(self, store):
-        keep_spec, drop_spec = torus_spec(seed=1), torus_spec(seed=2)
-        store.put_result(run(keep_spec))
-        store.put_result(run(drop_spec))
-        counts = store.prune(keep=[keep_spec])
-        assert counts == {"kept": 1, "dropped": 1}
-        assert store.get_result(keep_spec) is not None
-        assert store.get_result(drop_spec) is None
 
     def test_prune_preserves_baselines(self, store):
         from repro.api.engine import _baseline_task

@@ -100,7 +100,6 @@ def sweep_specs(draw):
                 SamplingPolicy(),
                 SamplingPolicy(kind="ci_width", target=0.05, min_trials=2, chunk=3),
                 SamplingPolicy(kind="budget", budget=30, min_trials=2),
-                SamplingPolicy(kind="cluster", target=0.05, min_trials=2),
                 SamplingPolicy(kind="transition", target=0.05, min_trials=2),
             ]
         )
@@ -158,6 +157,49 @@ class TestRoundTrip:
         d["bogus"] = 1
         with pytest.raises(SpecError):
             SweepSpec.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("trials",), None),
+            (("trials",), [4]),
+            (("trials",), 1e400),  # JSON's 1e400 parses to inf
+            (("seed",), None),
+            (("seed",), {"a": 1}),
+            (("metrics",), 7),
+            (("metrics",), None),
+            (("metrics",), [["gamma"]]),
+            (("axes",), 7),
+            (("axes",), None),
+            (("axes", 0, "values"), None),
+            (("axes", 0, "values"), 7),
+            (("base", "analysis", "exact_threshold"), None),
+            (("base", "analysis", "epsilon"), [0.5]),
+        ],
+    )
+    def test_wrong_typed_fields_raise_spec_error(self, path, value):
+        """Regression: these fields went to int()/float()/tuple() raw, so a
+        JSON null, list, dict or bare number escaped as a TypeError — an
+        HTTP 500 from the service and a traceback from the CLI."""
+        d = json.loads(_sweep().to_json())
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SpecError):
+            SweepSpec.from_dict(d)
+
+    def test_lenient_spellings_keep_loading_with_the_same_hash(self):
+        """Only what used to raise is rejected: numeric strings and
+        integral floats still load, to the same content hash."""
+        sweep = _sweep()
+        d = json.loads(sweep.to_json())
+        d["trials"] = "3"
+        d["seed"] = 5.0
+        d["base"]["analysis"]["exact_threshold"] = "14"
+        restored = SweepSpec.from_dict(d)
+        assert restored == sweep
+        assert restored.hash() == sweep.hash()
 
 
 # ------------------------------------------------------------------ #
@@ -241,6 +283,17 @@ class TestExpansion:
     def test_unknown_metric_rejected(self):
         with pytest.raises(SpecError):
             _sweep(metrics=("nope",))
+
+    def test_repeated_metric_rejected(self):
+        """Regression: ("gamma", "gamma") folded every trial into the same
+        aggregate twice, doubling n and narrowing the CI the adaptive
+        policies stop on."""
+        with pytest.raises(SpecError, match="repeated"):
+            _sweep(metrics=("gamma", "gamma"))
+        d = json.loads(_sweep().to_json())
+        d["metrics"] = ["gamma", "surviving_fraction", "gamma"]
+        with pytest.raises(SpecError, match="repeated"):
+            SweepSpec.from_dict(d)
 
     def test_bool_trials_and_seed_rejected(self):
         """bool passes isinstance(..., int); trials=True used to slip
@@ -370,13 +423,19 @@ class TestSamplingPolicy:
         with pytest.raises(SpecError):
             SamplingPolicy(target=-1.0)
         with pytest.raises(SpecError):
-            SamplingPolicy(kind="cluster")  # no target
-        with pytest.raises(SpecError):
             SamplingPolicy(kind="transition")  # no target
         with pytest.raises(SpecError):
             SamplingPolicy(chunk=True)  # bools are not trial counts
         with pytest.raises(SpecError):
             SamplingPolicy(kind="budget", budget=10.5)  # non-integral
+
+    def test_cluster_kind_removed(self):
+        with pytest.raises(SpecError) as err:
+            SamplingPolicy(kind="cluster", target=0.05)
+        assert str(err.value) == (
+            "policy kind must be one of ('fixed', 'ci_width', 'budget', "
+            "'transition'), got 'cluster'"
+        )
 
     # -- eq/hash contract (regression) --------------------------------- #
 
@@ -427,32 +486,6 @@ class TestSamplingPolicy:
         assert alloc.next_requests(_views([math.inf, 0.5]), [2, 2], 99) == [(0, 4)]
 
     # -- stateful kinds -------------------------------------------------- #
-
-    def test_cluster_allocator_promotes_representatives(self):
-        policy = SamplingPolicy(kind="cluster", target=0.05, min_trials=2, chunk=4)
-        alloc = policy.allocator(())
-        views = [PointView(math.inf, math.nan, 0)] * 4
-        assert alloc.next_requests(views, [0, 0, 0, 0], 20) == [
-            (0, 2), (1, 2), (2, 2), (3, 2),
-        ]
-        # two response plateaus (0.9-ish and 0.1-ish), everything noisy
-        views = [
-            PointView(0.2, 0.90, 2),
-            PointView(0.2, 0.95, 2),
-            PointView(0.2, 0.10, 2),
-            PointView(0.2, 0.12, 2),
-        ]
-        requests = alloc.next_requests(views, [2, 2, 2, 2], 20)
-        assert len(requests) == 2  # one representative per plateau
-        reps = {i for i, _ in requests}
-        assert len(reps & {0, 1}) == 1 and len(reps & {2, 3}) == 1
-        mapping = alloc.mapping()
-        assert mapping is not None
-        assert mapping[0] == mapping[1] and mapping[2] == mapping[3]
-        assert mapping[0] != mapping[2]
-        state = alloc.state()
-        assert state["kind"] == "cluster"
-        assert len(state["clusters"]) == 2
 
     def test_transition_allocator_targets_steep_region(self):
         policy = SamplingPolicy(
@@ -582,7 +615,7 @@ class TestRunSweep:
             assert point.stats["expansion_retention"].n_skipped == 2
 
     def test_rows_render(self):
-        from repro.util.tables import format_row_dicts
+        from repro.report.tables import format_row_dicts
 
         result = run_sweep(_sweep(trials=2), Session())
         out = format_row_dicts(result.rows())
@@ -616,7 +649,7 @@ class TestRunSweep:
         assert nan_point.n_trials == 3  # bootstrap only, then starved out
         assert finite_point.n_trials == 13  # the rest of the budget
 
-    @pytest.mark.parametrize("kind", ["cluster", "transition"])
+    @pytest.mark.parametrize("kind", ["transition"])
     def test_adaptive_kind_fingerprints_identical_across_workers(self, kind):
         sweep = _sweep(
             axes=(Axis("fault.params.p", (0.05, 0.3, 0.6)),),
@@ -632,7 +665,7 @@ class TestRunSweep:
             p.n_trials for p in pooled.points
         ]
 
-    @pytest.mark.parametrize("kind", ["cluster", "transition"])
+    @pytest.mark.parametrize("kind", ["transition"])
     def test_adaptive_kind_resume_identical_fingerprint(self, tmp_path, kind):
         sweep = _sweep(
             axes=(Axis("fault.params.p", (0.05, 0.3, 0.6)),),
@@ -660,27 +693,3 @@ class TestRunSweep:
         assert [p.trial_fingerprints for p in resumed.points] == [
             p.trial_fingerprints for p in fresh.points
         ]
-
-    def test_cluster_sweep_maps_members_with_provenance(self):
-        # two identical-response points (same p) plus one far-away point:
-        # the duplicate pair collapses to one representative
-        sweep = _sweep(
-            axes=(Axis("fault.params.p", (0.1, 0.1, 0.8)),),
-            trials=12,
-            policy=SamplingPolicy(kind="cluster", target=0.1, min_trials=3),
-        )
-        result = run_sweep(sweep, Session())
-        pair = result.points[:2]
-        mapped = [p for p in pair if p.provenance == "cluster"]
-        direct = [p for p in pair if p.provenance == "direct"]
-        assert len(mapped) == 1 and len(direct) == 1
-        assert mapped[0].source == direct[0].index
-        # the member reports its representative's CI-backed stats
-        assert (
-            mapped[0].stats["gamma"].mean == direct[0].stats["gamma"].mean
-        )
-        assert result.points[2].provenance == "direct"
-        payload = result.points[0].to_dict()
-        assert {"provenance", "source"} <= set(payload)
-        rows = result.rows()
-        assert any("provenance" in row for row in rows)

@@ -6,7 +6,7 @@ generate random (graph, fault rate, seed) cases with hypothesis (reusing
 the shared strategies in ``tests/property/strategies.py``) and assert
 equality at every observable layer:
 
-* kernel layer — mask-parallel components/BFS vs per-trial scalar
+* kernel layer — mask-parallel components vs per-trial scalar
   traversal of the induced subgraph;
 * engine layer — :func:`repro.batch.engine.run_trials` vs
   :func:`repro.api.engine.run` per-trial :class:`RunResult` records and
@@ -42,10 +42,8 @@ from repro.graphs import traversal
 from repro.graphs.generators import torus
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
-    batched_bfs_distances,
     batched_component_stats,
     batched_connected_components,
-    bfs_distances,
     component_summary,
     connected_components,
 )
@@ -149,24 +147,6 @@ def test_chunked_components_equal_one_chunk(monkeypatch):
     assert np.array_equal(chunked, whole)
 
 
-@given(
-    g=graphs(min_nodes=2, max_nodes=12),
-    seed=st.integers(0, 2**31 - 1),
-    trials=st.integers(1, 4),
-)
-@settings(max_examples=100, deadline=None)
-def test_batched_bfs_matches_scalar(g, seed, trials):
-    rng = np.random.default_rng(seed)
-    sources = rng.random((trials, g.n)) < 0.3
-    dist = batched_bfs_distances(g, sources)
-    for t in range(trials):
-        seeds = np.flatnonzero(sources[t])
-        if seeds.size == 0:
-            assert (dist[t] == -1).all()
-        else:
-            assert np.array_equal(dist[t], bfs_distances(g, seeds))
-
-
 # --------------------------------------------------------------------- #
 # engine layer
 # --------------------------------------------------------------------- #
@@ -243,7 +223,9 @@ def _store_entries(path):
     """Live result records keyed by spec hash, timings dropped (wall-clock
     is the one field outside the equivalence contract)."""
     entries = {}
-    for key, record in ResultStore(path).engine.iter_live("results"):
+    engine = ResultStore(path).engine
+    for key in engine.keys("results"):
+        record = engine.get_record("results", key)
         record["result"].pop("timings")
         entries[key] = record
     return entries

@@ -1,10 +1,9 @@
-"""Degenerate-input contracts of the batched kernels and metrics.
+"""Degenerate-input contracts of the batched kernels.
 
 These behaviours were *defined* (rather than left to raise) when the
 differential harness first exercised them: T = 0 trial matrices, n = 0
-graphs, fully-dead mask rows, all-faulty percolation trials, and BFS rows
-with no sources.  Every case documents the chosen semantics with an
-assertion.
+graphs, fully-dead mask rows and all-faulty percolation trials.  Every
+case documents the chosen semantics with an assertion.
 """
 
 from __future__ import annotations
@@ -12,14 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.batch.metrics import batched_gamma, batched_set_expansion
 from repro.batch.rounds import cascade_rounds, run_rounds
 from repro.errors import InvalidParameterError, SolverError
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
-    batched_bfs_distances,
-    batched_boundary_masks,
-    batched_boundary_sizes,
     batched_component_stats,
     batched_connected_components,
     batched_largest_component_fraction,
@@ -47,9 +42,6 @@ def test_zero_trials_yield_empty_results(square):
     n_components, largest = batched_component_stats(labels)
     assert n_components.shape == largest.shape == (0,)
     assert batched_largest_component_fraction(square, empty).shape == (0,)
-    assert batched_bfs_distances(square, empty).shape == (0, 4)
-    assert batched_boundary_sizes(square, empty).shape == (0,)
-    assert batched_set_expansion(square, empty).shape == (0,)
 
 
 # --------------------------------------------------------------------- #
@@ -65,7 +57,6 @@ def test_empty_graph_is_defined_everywhere():
     n_components, largest = batched_component_stats(labels)
     assert n_components.tolist() == largest.tolist() == [0, 0, 0]
     assert batched_largest_component_fraction(g, masks).tolist() == [0.0] * 3
-    assert batched_bfs_distances(g, masks).shape == (3, 0)
     # the scalar γ shares the 0.0-for-empty convention
     assert largest_component_fraction(g) == 0.0
     # percolation on the empty graph: all-zero samples, both strategies
@@ -112,46 +103,16 @@ def test_isolated_survivors_give_one_over_n(square):
 
 
 # --------------------------------------------------------------------- #
-# BFS rows without sources; dead sources
+# γ: node and edge masks compose
 # --------------------------------------------------------------------- #
-
-
-def test_bfs_row_without_sources_stays_unreached(square):
-    sources = np.array([[True, False, False, False], [False] * 4])
-    dist = batched_bfs_distances(square, sources)
-    assert dist[0].tolist() == [0, 1, 2, 1]
-    assert (dist[1] == -1).all()
-
-
-def test_bfs_dead_sources_do_not_seed(square):
-    sources = np.array([[True, False, True, False]])
-    alive = np.array([[False, True, True, True]])
-    dist = batched_bfs_distances(square, sources, alive)
-    # node 0 is dead: not a seed, not reachable; 2 seeds the rest
-    assert dist[0].tolist() == [-1, 1, 0, 1]
-
-
-# --------------------------------------------------------------------- #
-# metrics: undefined ratios come back nan, never raise
-# --------------------------------------------------------------------- #
-
-
-def test_set_expansion_degenerate_rows_are_nan(square):
-    masks = np.array([
-        [False] * 4,                  # empty set
-        [True] * 4,                   # the whole node set
-        [True, False, False, False],  # a proper set
-    ])
-    node = batched_set_expansion(square, masks, mode="node")
-    assert np.isnan(node[0]) and node[2] == 2.0
-    edge = batched_set_expansion(square, masks, mode="edge")
-    assert np.isnan(edge[0]) and np.isnan(edge[1]) and edge[2] == 2.0
 
 
 def test_gamma_composes_node_and_edge_masks(square):
     alive = np.ones((1, 4), dtype=bool)
     edge_alive = np.zeros((1, square.m), dtype=bool)
-    assert batched_gamma(square, alive, edge_alive=edge_alive).tolist() == [0.25]
+    assert batched_largest_component_fraction(
+        square, alive, edge_alive=edge_alive
+    ).tolist() == [0.25]
 
 
 # --------------------------------------------------------------------- #
@@ -237,9 +198,7 @@ def test_batched_kernels_reject_nan_float_masks(square):
     with pytest.raises(InvalidParameterError):
         batched_connected_components(square, bad)
     with pytest.raises(InvalidParameterError):
-        batched_bfs_distances(square, bad)
-    with pytest.raises(InvalidParameterError):
-        batched_set_expansion(square, bad)
+        batched_largest_component_fraction(square, bad)
 
 
 def test_shape_and_dtype_mistakes_raise(square):
@@ -255,6 +214,7 @@ def test_shape_and_dtype_mistakes_raise(square):
             edge_alive=np.ones((3, square.m), dtype=bool),  # trial mismatch
         )
     with pytest.raises(InvalidParameterError):
-        batched_boundary_masks(
-            square, np.ones((2, 4), dtype=bool), np.ones((1, 4), dtype=bool)
+        batched_connected_components(
+            square, np.ones((2, 4), dtype=bool),
+            edge_alive=np.ones((2, square.m + 1), dtype=bool),  # edge mismatch
         )

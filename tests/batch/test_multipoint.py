@@ -6,7 +6,7 @@ bit-identical to the per-point ``run_trials`` path — same aggregates,
 same samples, same sweep fingerprints.  These tests pin that at every
 layer the stacking touches: the engine, ``Session.run_points_batched``,
 ``execute_units``'s stacking dispatch, the threshold probe ladder, and
-the scheduler's ``merge_points`` job merging.
+the scheduler's point-merging jobs.
 """
 
 from __future__ import annotations
@@ -190,15 +190,15 @@ def test_ladder_agrees_with_bisection_within_resolution():
 # --------------------------------------------------------------------- #
 
 
-def test_scheduler_merge_points_keeps_fingerprint(tmp_path):
+def test_scheduler_point_merging_keeps_fingerprint(tmp_path):
     from repro.service.scheduler import Scheduler
     from repro.api.sweeps import execute_units
 
     spec = _sweep_spec(trials=3)
     baseline = run_sweep(spec, Session()).fingerprint()
 
-    def drive(merge):
-        sched = Scheduler(merge_points=merge, job_chunk=None)
+    def drive(job_chunk):
+        sched = Scheduler(job_chunk=job_chunk)
         entry, _ = sched.submit(spec)
         session = Session()
         merged_jobs = 0
@@ -220,18 +220,18 @@ def test_scheduler_merge_points_keeps_fingerprint(tmp_path):
         assert entry.state == "done"
         return entry.fingerprint, merged_jobs
 
-    merged_fp, merged_count = drive(merge=True)
-    solo_fp, solo_count = drive(merge=False)
+    merged_fp, merged_count = drive(job_chunk=None)
+    solo_fp, solo_count = drive(job_chunk=1)
     assert merged_fp == solo_fp == baseline
     assert merged_count > 0  # merging actually produced multi-segment jobs
-    assert solo_count == 0
+    assert solo_count == 0  # a one-trial bound leaves nothing to merge
 
 
 def test_scheduler_merge_respects_job_chunk():
     from repro.service.scheduler import Scheduler
 
     spec = _sweep_spec(trials=4)
-    sched = Scheduler(merge_points=True, job_chunk=5)
+    sched = Scheduler(job_chunk=5)
     entry, _ = sched.submit(spec)
     seen = 0
     while True:

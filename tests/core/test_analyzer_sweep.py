@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import FaultExpansionAnalyzer
 from repro.graphs.generators import torus
-from repro.util.tables import format_row_dicts
+from repro.report.tables import format_row_dicts
 
 
 class TestAnalyzerSweep:

@@ -11,7 +11,7 @@ from repro.percolation.bonds import bond_sweep
 from repro.span.compact_enum import random_compact_set
 from repro.span.mesh_tree import mesh_boundary_tree
 from repro.span.span import span_exact
-from repro.util.tables import fmt_float, format_table
+from repro.report.tables import fmt_float, format_table
 from repro.util.unionfind import UnionFind
 
 from .strategies import connected_graphs

@@ -1,8 +1,8 @@
 """Property-based tests: SamplingPolicy allocation laws across all kinds.
 
 Every allocator must (a) only ever request positive trial counts, (b)
-respect the per-point cap (``fixed``/``ci_width``/``cluster``/
-``transition``) and the total budget (``budget``), and (c) be a pure
+respect the per-point cap (``fixed``/``ci_width``/``transition``) and
+the total budget (``budget``), and (c) be a pure
 function of the (views, allocated) stream — replaying the same stream
 through a fresh allocator reproduces the identical request sequence,
 which is the property distributed fingerprint identity rests on.
@@ -20,8 +20,6 @@ _POLICIES = [
     SamplingPolicy(kind="ci_width", target=0.05, min_trials=2, chunk=3),
     SamplingPolicy(kind="budget", budget=30, min_trials=2, chunk=4),
     SamplingPolicy(kind="budget", budget=30, target=0.02, min_trials=3),
-    SamplingPolicy(kind="cluster", target=0.05, min_trials=2, chunk=4),
-    SamplingPolicy(kind="cluster", target=0.05, min_trials=2, budget=40),
     SamplingPolicy(kind="transition", target=0.05, min_trials=2, chunk=4),
     SamplingPolicy(kind="transition", target=0.05, min_trials=2, budget=40),
 ]

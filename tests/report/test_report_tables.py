@@ -5,7 +5,6 @@ import pytest
 from repro.report.tables import (
     ExperimentTable,
     StatColumn,
-    fmt_float,
     format_row_dicts,
     markdown_row_dicts,
     markdown_table,
@@ -106,10 +105,3 @@ class TestMarkdownRenderers:
     def test_mismatched_row_raises(self):
         with pytest.raises(ValueError):
             markdown_table(["a", "b"], [[1]])
-
-
-class TestFmtFloat:
-    def test_still_exported_from_util(self):
-        from repro.util.tables import fmt_float as legacy
-
-        assert legacy is fmt_float

@@ -27,10 +27,11 @@ def _drive(scheduler, session):
         assert spec_dict["__hash__"] == sweep.hash()
         points = sweep.points()
         units = [
-            (job.point_index, t)
-            for t in range(job.trial_start, job.trial_start + job.n_trials)
+            (point_index, t)
+            for point_index, trial_start, n in job.segments
+            for t in range(trial_start, trial_start + n)
         ]
-        specs = [sweep.trial_spec(points[job.point_index], t) for _, t in units]
+        specs = [sweep.trial_spec(points[i], t) for i, t in units]
         h0, m0 = session.hits, session.misses
         results = execute_units(session, units, specs)
         scheduler.job_done(
@@ -192,9 +193,9 @@ class TestDeterminism:
         _drive(sched, session)
         assert entry.fingerprint == reference.fingerprint()
 
-    @pytest.mark.parametrize("kind", ["cluster", "transition"])
+    @pytest.mark.parametrize("kind", ["transition"])
     def test_adaptive_kinds_distributed_identical(self, make_sweep, tmp_path, kind):
-        """The stateful allocators make the same decisions whether the
+        """The stateful allocator makes the same decisions whether the
         driver runs inside run_sweep or behind the scheduler's job loop."""
         import dataclasses
 
@@ -216,8 +217,6 @@ class TestDeterminism:
         assert entry.result.rows() == reference.rows()
         status = sched.status(entry.id)
         assert status["allocator"]["kind"] == kind
-        if kind == "cluster":
-            assert status["allocator"]["clusters"] is not None
 
     def test_fully_warm_sweep_completes_inside_submit(self, sweep, tmp_path):
         store_dir = tmp_path / "warm"

@@ -152,6 +152,27 @@ class TestEndpoints:
                 client._request("GET", "/nope")
             assert err.value.status == 404
 
+    def test_wrong_typed_submissions_are_400(self, sweep, tmp_path):
+        """Regression: wrong-typed sweep fields and a null priority escaped
+        as TypeErrors (HTTP 500), and a float or bool priority was
+        silently truncated to an int."""
+        good = sweep.to_dict()
+        bodies = [
+            dict(good, trials=None),
+            dict(good, metrics=7),
+            dict(good, policy={"kind": "cluster", "target": 0.05}),
+            {"sweep": good, "priority": None},
+            {"sweep": good, "priority": 1.5},
+            {"sweep": good, "priority": True},
+        ]
+        with SweepService(_config(tmp_path / "svc", workers=1)) as service:
+            client = ServiceClient(service.url)
+            for body in bodies:
+                with pytest.raises(ServiceError) as err:
+                    client._request("POST", "/sweeps", body)
+                assert err.value.status == 400, body
+            assert client.sweeps()["sweeps"] == []
+
     @staticmethod
     def _raw_post(service, content_length):
         """POST /sweeps with a declared length and no body, keeping the

@@ -30,12 +30,14 @@ class TestFacadeCompaction:
             store.put_result(r)
             store.put_result(r)  # garbage: one superseded line each
         raw_before = {
-            key: raw for key, raw in store.engine.iter_raw("results")
+            key: store.engine.get_raw("results", key)
+            for key in store.engine.keys("results")
         }
         counts = store.compact(force=True)
         assert counts["superseded"] == 4
         raw_after = {
-            key: raw for key, raw in store.engine.iter_raw("results")
+            key: store.engine.get_raw("results", key)
+            for key in store.engine.keys("results")
         }
         assert raw_after == raw_before  # identical bytes, new segments
         for r in results:

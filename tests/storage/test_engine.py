@@ -1,6 +1,11 @@
-"""Engine-level behaviour: shard routing, policies, counters, layout."""
+"""Engine-level behaviour: shard routing, policies, counters, layout, and
+the multi-process append race the shard locks exist for."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +152,50 @@ class TestMinGarbageThreshold:
         assert totals["kept"] == 10
         assert totals["superseded"] == 10
         assert cold.garbage_ratio("results") == 0.0
+
+
+class TestConcurrentAppendRace:
+    def test_four_process_append_race_across_shards(self, tmp_path):
+        """Four processes hammer every results shard concurrently; the
+        per-shard locks must keep every line complete and every index
+        entry correct."""
+        store_dir = tmp_path / "shared"
+        StorageEngine(store_dir)  # create the layout
+        code = (
+            "import sys\n"
+            "from repro.storage import StorageEngine\n"
+            "engine = StorageEngine(sys.argv[1])\n"
+            "who = sys.argv[2]\n"
+            "pad = 'x' * 2048\n"
+            "for i in range(50):\n"
+            "    key = f'{who}:{i}'\n"
+            "    engine.append('results', key,"
+            " {'key': key, 'who': who, 'i': i, 'pad': pad})\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(store_dir), f"w{k}"],
+                env=env,
+            )
+            for k in range(4)
+        ]
+        for p in procs:
+            assert p.wait(timeout=120) == 0
+        engine = StorageEngine(store_dir)
+        assert engine.count("results") == 4 * 50
+        seen = 0
+        for k in range(4):
+            for i in range(50):
+                record = engine.get_record("results", f"w{k}:{i}")
+                assert record["i"] == i and record["who"] == f"w{k}"
+                seen += 1
+        assert seen == 200
+        assert sum(
+            s.corrupt_seen for s in engine.shards("results")
+        ) == 0
+        # The race exercised more than one shard lock.
+        touched = [s for s in engine.shards("results") if len(s)]
+        assert len(touched) > 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import fmt_float, format_row_dicts, format_table
+from repro.report.tables import fmt_float, format_row_dicts, format_table
 
 
 class TestFmtFloat:
