@@ -169,26 +169,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _planned_trials(sweep) -> tuple[int, str]:
-    """(per-point planned/cap trials, human description) for a sweep."""
+def _describe_policy(sweep) -> str:
+    """Human description of a sweep's trial allocation."""
     policy = sweep.policy
     if policy.kind == "fixed":
-        return sweep.trials, f"{sweep.trials} per point"
+        return f"{sweep.trials} per point"
     if policy.kind == "ci_width":
-        return sweep.trials, (
+        return (
             f"{policy.min_trials}..{sweep.trials} per point "
             f"(stop at CI half-width <= {policy.target:g})"
         )
-    if policy.kind == "transition":
-        budget = f", {policy.budget} total" if policy.budget else ""
-        return sweep.trials, (
-            f"{policy.min_trials} per point, then chunks of {policy.chunk} "
-            f"where fitted |slope| x CI half-width peaks "
-            f"(cap {sweep.trials} per point{budget})"
-        )
-    return policy.budget, (
-        f"{policy.min_trials} per point, then chunks of {policy.chunk} to the "
-        f"noisiest point ({policy.budget} total)"
+    budget = f", {policy.budget} total" if policy.budget else ""
+    return (
+        f"{policy.min_trials} per point, then chunks of {policy.chunk} "
+        f"where fitted |slope| x CI half-width peaks "
+        f"(cap {sweep.trials} per point{budget})"
     )
 
 
@@ -198,8 +193,8 @@ def _cmd_sweep(argv: list[str]) -> int:
         description="Plan / execute / inspect a declarative sweep "
         "(a SweepSpec JSON file), locally or against a running sweep "
         "service (see 'python -m repro serve'). Sampling policies: fixed, "
-        "ci_width, budget, transition (concentrate trials where the fitted "
-        "response curve is steep).",
+        "ci_width, transition (concentrate trials where the fitted "
+        "response curve is steep, optionally within a total budget).",
     )
     sub.add_argument(
         "action", choices=("run", "plan", "status", "submit", "watch")
@@ -249,19 +244,18 @@ def _cmd_sweep(argv: list[str]) -> int:
         return 2
 
     points = sweep.points()
-    cap, description = _planned_trials(sweep)
 
     if args.action == "plan":
         print(f"sweep {sweep.hash()} ({sweep.label or 'unlabelled'})")
         print(f"  axes:     {len(sweep.axes)}  "
               + "  ".join(f"{a.path}[{len(a.values)}]" for a in sweep.axes))
         print(f"  points:   {len(points)}")
-        print(f"  policy:   {sweep.policy.kind} — {description}")
+        print(f"  policy:   {sweep.policy.kind} — {_describe_policy(sweep)}")
         print(f"  metrics:  {', '.join(sweep.metrics)}")
-        if sweep.policy.kind == "budget":
-            print(f"  max trials: {sweep.policy.budget} (total)")
-        else:
-            print(f"  max trials: {len(points) * cap}")
+        max_trials = len(points) * sweep.trials
+        if sweep.policy.kind == "transition" and sweep.policy.budget:
+            max_trials = min(sweep.policy.budget, max_trials)
+        print(f"  max trials: {max_trials}")
         rows = [
             {"point": p.index, **{k.rsplit('.', 1)[-1]: v
                                   for k, v in p.coords if not isinstance(v, dict)},
@@ -283,22 +277,11 @@ def _cmd_sweep(argv: list[str]) -> int:
         rows = []
         total_done = 0
         for p in points:
-            if sweep.policy.kind == "budget":
-                # a budget is a *total*; per point, report the contiguous
-                # cached frontier (probe until the first missing trial)
-                done = 0
-                while (
-                    done < sweep.policy.budget
-                    and store.get_result(sweep.trial_spec(p, done)) is not None
-                ):
-                    done += 1
-                cached = f"{done}"
-            else:
-                done = sum(
-                    1 for t in range(cap)
-                    if store.get_result(sweep.trial_spec(p, t)) is not None
-                )
-                cached = f"{done}/{cap}"
+            done = sum(
+                1 for t in range(sweep.trials)
+                if store.get_result(sweep.trial_spec(p, t)) is not None
+            )
+            cached = f"{done}/{sweep.trials}"
             total_done += done
             rows.append(
                 {"point": p.index, "label": p.spec.label,
@@ -515,20 +498,23 @@ def _cmd_serve(argv: list[str]) -> int:
         job_chunk=args.job_chunk,
         fsync=args.fsync,
     )
-    service = SweepService(config)
     stop = threading.Event()
 
     def _on_signal(signum, frame):
+        # service.stop() below begins the drain; no submission is accepted
+        # after it, and outstanding jobs still finish.
         print(f"received {signal.Signals(signum).name}; draining...",
               flush=True)
-        service.begin_drain()
         stop.set()
 
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
     try:
+        # Building the service validates the options and opens the store,
+        # before start() binds the port and spawns any worker.
+        service = SweepService(config)
         service.start()
-    except OSError as exc:
+    except (OSError, ReproError) as exc:
         print(f"cannot start service: {exc}", file=sys.stderr)
         return 2
     print(

@@ -31,8 +31,8 @@ The same scenario round-trips through JSON (``spec.to_json()`` /
 Grids of scenarios with Monte-Carlo trials per point are first-class too
 (:mod:`repro.api.sweeps`): a ``SweepSpec`` expands deterministically into
 per-trial work units, aggregates results online as they stream out of the
-executor, and supports adaptive (CI-width / budget driven) trial
-allocation::
+executor, and supports adaptive (CI-width / transition-curve driven)
+trial allocation::
 
     from repro.api import Axis, SamplingPolicy, SweepSpec, run_sweep
 

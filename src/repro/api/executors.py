@@ -6,16 +6,14 @@ through; the two built-ins are
 * :class:`SerialExecutor` — an in-process loop.  Deterministic, zero
   overhead, trivially debuggable; the default for ``workers=1``.
 * :class:`ProcessExecutor` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  fan-out (extracted from the old ``run_batch``/``chunked_map`` plumbing).
-  Falls back to the serial path when the batch is too small to amortise
-  pool start-up.
+  fan-out.  Falls back to the serial path for batches of fewer than four
+  tasks, too small to amortise pool start-up.
 
-Both expose the same two operations:
-
-* ``map(fn, items)`` — all results, input order (a barrier);
-* ``imap(fn, items)`` — ``(index, result)`` pairs *in completion order*,
-  which is what lets :meth:`repro.api.session.Session.run_iter` stream
-  results out while later scenarios are still executing.
+Both implement one operation, ``imap(fn, items)``: ``(index, result)``
+pairs *in completion order*, which is what lets
+:meth:`repro.api.session.Session.run_iter` stream results out while later
+scenarios are still executing.  ``map(fn, items)`` — all results in input
+order, a barrier — is built on it.
 
 Work functions must be picklable module-level callables (the process pool
 requirement); randomness must come from explicit seeds inside the items so
@@ -24,11 +22,12 @@ results never depend on scheduling order.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
-from ..util.parallel import effective_workers
+from ..errors import InvalidParameterError
 
 __all__ = [
     "Executor",
@@ -40,6 +39,24 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Below this many tasks :class:`ProcessExecutor` runs serially — the pool
+#: start-up cost (~100 ms) is never worth amortising over fewer tasks.
+_POOL_MIN_ITEMS = 4
+
+
+def effective_workers(workers: Optional[int] = None) -> int:
+    """Resolve a worker-count spec.
+
+    ``None`` or 0 means "auto": one worker per CPU, capped at 8 (beyond that
+    the fork+pickle overhead outweighs gains for our task sizes).  Negative
+    values are invalid.
+    """
+    if workers is None or workers == 0:
+        return max(1, min(8, os.cpu_count() or 1))
+    if workers < 0:
+        raise InvalidParameterError(f"workers must be >= 0 or None, got {workers}")
+    return int(workers)
 
 
 class Executor(ABC):
@@ -78,27 +95,19 @@ class SerialExecutor(Executor):
 class ProcessExecutor(Executor):
     """Process-pool fan-out with a serial fallback for tiny batches.
 
-    Parameters
-    ----------
-    workers:
-        Parallelism degree; ``None``/``0`` selects a CPU-count default.
-    min_parallel:
-        Below this many items the serial path is always used — the pool
-        start-up cost (~100 ms) is never worth amortising over fewer tasks.
+    ``workers`` is the parallelism degree; ``None``/``0`` selects a
+    CPU-count default.  Batches of fewer than ``_POOL_MIN_ITEMS`` tasks
+    run serially.
     """
 
-    def __init__(self, workers: Optional[int] = None, *, min_parallel: int = 4):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = effective_workers(workers)
-        self.min_parallel = min_parallel
-
-    def _serial_ok(self, n_items: int) -> bool:
-        return self.workers <= 1 or n_items < self.min_parallel
 
     def imap(
         self, fn: Callable[[T], R], items: Iterable[T]
     ) -> Iterator[Tuple[int, R]]:
         work = list(items)
-        if self._serial_ok(len(work)):
+        if self.workers <= 1 or len(work) < _POOL_MIN_ITEMS:
             yield from SerialExecutor().imap(fn, work)
             return
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
@@ -114,13 +123,6 @@ class ProcessExecutor(Executor):
                 # for tasks already in flight, not the whole remaining batch.
                 for future in pending:
                     future.cancel()
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        work = list(items)
-        if self._serial_ok(len(work)):
-            return [fn(item) for item in work]
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(fn, work))
 
 
 def make_executor(workers: Optional[int] = 1) -> Executor:

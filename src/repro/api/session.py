@@ -51,7 +51,7 @@ from typing import (
 from ..errors import SpecError
 from ..expansion.estimate import ExpansionEstimate
 from ..graphs.graph import Graph
-from .executors import Executor, make_executor
+from .executors import make_executor
 from .specs import RunResult, ScenarioSpec
 from .store import BaselineKey, ResultStore, baseline_key
 
@@ -88,11 +88,8 @@ class Session:
         ``None`` (no persistence), a path (a :class:`ResultStore` is opened
         there), or a ready :class:`ResultStore`.
     workers:
-        Parallelism degree for the default executor: ``1`` = serial,
+        Parallelism degree of the executor: ``1`` = serial,
         ``None``/``0`` = auto-sized process pool, ``N`` = pool of N.
-    executor:
-        Explicit :class:`~repro.api.executors.Executor`; overrides
-        ``workers``.
     baseline_cache:
         In-memory fault-free-estimate cache, keyed by
         ``(graph hash, mode, exact_threshold)``.  Pass a shared dict to
@@ -126,7 +123,6 @@ class Session:
         store: Union[None, str, os.PathLike, ResultStore] = None,
         *,
         workers: Optional[int] = 1,
-        executor: Optional[Executor] = None,
         baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
         refresh: bool = False,
     ) -> None:
@@ -134,7 +130,7 @@ class Session:
             self.store = store
         else:
             self.store = ResultStore(store)
-        self.executor = executor if executor is not None else make_executor(workers)
+        self.executor = make_executor(workers)
         self.refresh = refresh
         self._baselines = baseline_cache if baseline_cache is not None else {}
         #: Scenarios served from the store / actually executed, cumulatively.

@@ -31,8 +31,7 @@ Robustness properties (unchanged from the single-file store):
   healed on the next open.
 * **Multi-process write safety.**  Every append runs under an advisory
   :class:`~repro.util.locking.FileLock` — now one lock *per shard*, so
-  service workers appending different keys no longer contend.  Pass
-  ``lock=False`` to opt out when a store is provably single-writer;
+  service workers appending different keys no longer contend.
   ``fsync=True`` forces each append to disk before returning.
 * **Corrupt-entry tolerance.**  Unparseable lines are counted and skipped,
   never fatal.  Result entries additionally store the
@@ -154,16 +153,15 @@ class ResultStore:
         self,
         path: Union[str, os.PathLike],
         *,
-        lock: bool = True,
         fsync: bool = False,
     ) -> None:
         self.path = Path(path)
-        self.engine = StorageEngine(self.path, lock=lock, fsync=fsync)
+        self.engine = StorageEngine(self.path, fsync=fsync)
         self.engine.verifier = self._verify_record
         #: Store-wide advisory lock — held by whole-store maintenance
         #: (:meth:`prune`, :meth:`clear`) so two processes never rewrite
         #: the layout concurrently.  Appends take only their shard's lock.
-        self.lock: Optional[FileLock] = self.engine._global_lock
+        self.lock: FileLock = self.engine._global_lock
         #: Results shipped in via :meth:`remember` (already persisted by
         #: another process) — overlay consulted before the shard indexes.
         self._remembered: Dict[str, RunResult] = {}
@@ -404,9 +402,7 @@ class ResultStore:
         every line physically removed: corrupt lines and superseded
         duplicates, across results, baselines and tables.
         """
-        import contextlib
-
-        with self.lock if self.lock is not None else contextlib.nullcontext():
+        with self.lock:
             totals = self.engine.compact(force=True)
         self._remembered = {}
         return {
@@ -418,8 +414,6 @@ class ResultStore:
 
     def clear(self) -> None:
         """Delete every stored entry (segments and indexes are removed)."""
-        import contextlib
-
-        with self.lock if self.lock is not None else contextlib.nullcontext():
+        with self.lock:
             self.engine.clear()
         self._remembered = {}

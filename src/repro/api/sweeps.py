@@ -9,10 +9,10 @@ This module makes that shape first-class:
   replacement like ``"graph"``) plus the values it takes.
 * :class:`SamplingPolicy` — how trials are allocated to grid points:
   ``fixed`` (the classic constant count), ``ci_width`` (keep sampling a
-  point until its confidence interval is tighter than ``target``),
-  ``budget`` (spend a fixed total, each chunk going to the currently
-  noisiest point), or ``transition`` (fit the response curve online and
-  concentrate chunks where predicted |dγ/dp| × CI half-width peaks).
+  point until its confidence interval is tighter than ``target``), or
+  ``transition`` (fit the response curve online and concentrate chunks
+  where predicted |dγ/dp| × CI half-width peaks, optionally within a
+  total ``budget``).
   Each kind is realised by an :class:`Allocator` state machine
   (``policy.allocator(points)``) whose decisions are a deterministic
   function of the aggregate stream.
@@ -68,7 +68,6 @@ import numpy as np
 from ..errors import SpecError
 from ..util.stats import (
     OnlineStats,
-    P2Quantile,
     fit_isotonic,
     fit_logistic,
     logistic_slope,
@@ -221,8 +220,6 @@ class Axis:
     are derived per trial, labels per point.
 
     >>> axis = Axis("fault.params.p", (0.1, 0.2, 0.4))
-    >>> axis.short_name
-    'p'
     >>> Axis.from_dict(axis.to_dict()) == axis
     True
     >>> Axis("seed", (1, 2))
@@ -246,11 +243,6 @@ class Axis:
         if not values:
             raise SpecError(f"axis {self.path!r} has no values")
         object.__setattr__(self, "values", values)
-
-    @property
-    def short_name(self) -> str:
-        """Last path segment — the column name used in tables."""
-        return self.path.rsplit(".", 1)[-1]
 
     def to_dict(self) -> Dict[str, Any]:
         return {"path": self.path, "values": list(self.values)}
@@ -295,7 +287,7 @@ def _set_path(d: Dict[str, Any], path: str, value: Any) -> None:
 # Sampling policy + allocator state machines
 # --------------------------------------------------------------------- #
 
-_POLICY_KINDS = ("fixed", "ci_width", "budget", "transition")
+_POLICY_KINDS = ("fixed", "ci_width", "transition")
 
 
 class PointView(NamedTuple):
@@ -344,18 +336,15 @@ class SamplingPolicy:
       more per round while their CI half-width exceeds ``target``, up to
       the per-point cap ``SweepSpec.trials``.  Tight points stop consuming
       budget, which is what frees trials for the noisy ones.
-    * ``budget`` — every point gets ``min_trials``, then each round hands
-      one ``chunk`` to the point with the widest CI until ``budget`` total
-      trials are spent (or, when ``target`` is set, until every point is
-      already tight).  Points that spent ``min_trials`` without a single
-      finite observation are *starved* — excluded from widest-point
-      selection so an all-NaN point cannot swallow the whole budget.
     * ``transition`` — after the bootstrap, the response curve over the
       leading numeric axis is fitted online (logistic / isotonic,
       whichever fits better) and each round's ``chunk`` goes where
       predicted |slope| × CI half-width peaks; flat regions are held to a
       relaxed width target, which is what concentrates trials on the
-      percolation transition.
+      percolation transition.  An optional ``budget`` caps the sweep's
+      total trials.  Points whose bootstrap yielded no finite observation
+      are left out of the fit and never chosen, so an all-NaN point
+      cannot swallow the budget.
 
     Every kind is realised by an :class:`Allocator` state machine
     (:meth:`allocator`) whose decisions depend only on the deterministic
@@ -368,11 +357,11 @@ class SamplingPolicy:
     from a JSON client — are equal *and* hash equal, keeping scheduler
     dedup and store reuse sound.
 
-    >>> SamplingPolicy(kind="budget", budget=100) == SamplingPolicy(
-    ...     kind="budget", budget=100.0)
+    >>> capped = SamplingPolicy(kind="transition", target=0.05, budget=100)
+    >>> capped == SamplingPolicy(kind="transition", target=0.05, budget=100.0)
     True
-    >>> hash(SamplingPolicy(kind="budget", budget=100)) == hash(
-    ...     SamplingPolicy(kind="budget", budget=100.0))
+    >>> hash(capped) == hash(
+    ...     SamplingPolicy(kind="transition", target=0.05, budget=100.0))
     True
     """
 
@@ -415,9 +404,6 @@ class SamplingPolicy:
                 raise SpecError(
                     f"{self.kind} policy needs a positive 'target'"
                 )
-        if self.kind == "budget":
-            if self.budget is None or self.budget < 1:
-                raise SpecError("budget policy needs a positive 'budget'")
         if self.budget is not None and self.budget < 1:
             raise SpecError(f"budget must be >= 1, got {self.budget}")
         if self.target is not None and not self.target > 0.0:
@@ -567,37 +553,6 @@ class _CIWidthAllocator(Allocator):
             elif views[i].halfwidth > policy.target and a < max_trials:
                 requests.append((i, min(policy.chunk, max_trials - a)))
         return requests
-
-
-class _BudgetAllocator(Allocator):
-    kind = "budget"
-
-    def _starved(self, view: PointView, allocated: int) -> bool:
-        """Spent the bootstrap without one finite observation: the metric
-        is undefined at this point, so its half-width stays ``inf``
-        forever and sampling it further is pure waste."""
-        return allocated >= self.policy.min_trials and view.n_finite == 0
-
-    def next_requests(self, views, allocated, max_trials):
-        policy = self.policy
-        remaining = self._remaining(allocated)
-        assert remaining is not None  # budget kind validates budget
-        if remaining <= 0:
-            return []
-        if all(a == 0 for a in allocated):
-            return self._bootstrap(allocated, max_trials)
-        candidates = [
-            i for i in range(len(allocated))
-            if not self._starved(views[i], allocated[i])
-        ]
-        if not candidates:
-            return []
-        if policy.target is not None and all(
-            views[i].halfwidth <= policy.target for i in candidates
-        ):
-            return []
-        widest = max(candidates, key=lambda i: (views[i].halfwidth, -i))
-        return [(widest, min(policy.chunk, remaining))]
 
 
 class _TransitionAllocator(Allocator):
@@ -770,7 +725,6 @@ def _leading_numeric_axis(points: Sequence["SweepPoint"]) -> List[float]:
 _ALLOCATORS: Dict[str, type] = {
     "fixed": _FixedAllocator,
     "ci_width": _CIWidthAllocator,
-    "budget": _BudgetAllocator,
     "transition": _TransitionAllocator,
 }
 
@@ -811,9 +765,10 @@ class SweepSpec:
     granularity.
 
     ``trials`` is the per-point trial count for the ``fixed`` policy and
-    the per-point *cap* for ``ci_width``; the ``budget`` policy bounds the
-    total instead.  ``metrics`` name the aggregated scalars (first one
-    drives adaptive allocation); ``seed`` is the sweep-level entropy and
+    the per-point *cap* for ``ci_width`` and ``transition``; a
+    ``transition`` policy's ``budget`` also bounds the total.  ``metrics``
+    name the aggregated scalars (first one drives adaptive allocation);
+    ``seed`` is the sweep-level entropy and
     ``seed_policy`` picks what the per-trial derivation is keyed by
     (``"scenario"``: graph+fault+analysis; ``"fault"``: graph+fault only,
     for ablations that must reuse fault draws across analysis arms).
@@ -1077,8 +1032,6 @@ def _label_value(v: Any) -> str:
 # Aggregation
 # --------------------------------------------------------------------- #
 
-_QUANTILES = (0.1, 0.5, 0.9)
-
 
 @dataclass(frozen=True)
 class PointStats:
@@ -1094,9 +1047,6 @@ class PointStats:
     interval: str  # "normal" | "wilson" | "none"
     minimum: float
     maximum: float
-    p10: float
-    p50: float
-    p90: float
     n_skipped: int
 
     def to_dict(self) -> Dict[str, Any]:
@@ -1114,9 +1064,6 @@ class PointStats:
             "interval": self.interval,
             "min": _num(self.minimum),
             "max": _num(self.maximum),
-            "p10": _num(self.p10),
-            "p50": _num(self.p50),
-            "p90": _num(self.p90),
             "n_skipped": self.n_skipped,
         }
 
@@ -1128,9 +1075,6 @@ class PointAggregate:
         self.metrics = tuple(metrics)
         self.confidence = confidence
         self._stats = {m: OnlineStats() for m in self.metrics}
-        self._quant = {
-            m: {p: P2Quantile(p) for p in _QUANTILES} for m in self.metrics
-        }
         self._successes = {m: 0 for m in self.metrics}
         self._skipped = {m: 0 for m in self.metrics}
 
@@ -1142,8 +1086,6 @@ class PointAggregate:
                 continue
             value = float(value)
             self._stats[m].push(value)
-            for sketch in self._quant[m].values():
-                sketch.push(value)
             if METRICS[m].binary and value >= 0.5:
                 self._successes[m] += 1
 
@@ -1186,7 +1128,6 @@ class PointAggregate:
             lo, hi = stats.interval(self.confidence)
             half = stats.halfwidth(self.confidence)
             kind = "normal"
-        quant = self._quant[metric]
         return PointStats(
             metric=metric,
             n=n,
@@ -1198,9 +1139,6 @@ class PointAggregate:
             interval=kind,
             minimum=stats.minimum if n else math.nan,
             maximum=stats.maximum if n else math.nan,
-            p10=quant[0.1].value,
-            p50=quant[0.5].value,
-            p90=quant[0.9].value,
             n_skipped=self._skipped[metric],
         )
 

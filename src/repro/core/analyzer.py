@@ -11,8 +11,8 @@ Typical use (this is the quickstart example):
 
 The analyzer is a thin convenience wrapper over the declarative scenario
 API (:mod:`repro.api`): it holds a concrete graph, builds
-:class:`~repro.api.specs.FaultSpec` / :class:`~repro.api.specs.AnalysisSpec`
-records internally, and executes every analysis through the shared
+:class:`~repro.api.specs.FaultSpec` records internally, and executes
+every analysis through the shared
 :func:`repro.api.engine.analyze_graph` pipeline — the same code path
 ``repro.api.run`` uses for JSON scenarios.  The fault-free expansion is
 measured once and cached.
@@ -30,7 +30,7 @@ from ..api.engine import (
     baseline_expansion,
     default_epsilon,
 )
-from ..api.specs import AnalysisSpec, FaultSpec
+from ..api.specs import FaultSpec
 from ..errors import InvalidParameterError
 from ..expansion.estimate import ExpansionEstimate
 from ..faults.model import FaultScenario, apply_node_faults
@@ -90,16 +90,6 @@ class FaultExpansionAnalyzer:
         self._baseline: Optional[ExpansionEstimate] = None
 
     # ------------------------------------------------------------------ #
-
-    def analysis_spec(self) -> AnalysisSpec:
-        """The declarative :class:`AnalysisSpec` equivalent of this analyzer
-        (finder objects have no spec form; the default hybrid is assumed)."""
-        return AnalysisSpec(
-            mode=self.mode,
-            pruner="prune" if self.mode == "node" else "prune2",
-            epsilon=self.epsilon,
-            exact_threshold=self.exact_threshold,
-        )
 
     @property
     def baseline_expansion(self) -> ExpansionEstimate:

@@ -54,11 +54,6 @@ class ChainReplacement:
     base_edges: np.ndarray
 
     @property
-    def base_nodes(self) -> np.ndarray:
-        """Ids of the original base-graph nodes inside ``H`` (``0..n-1``)."""
-        return np.arange(self.base.n, dtype=np.int64)
-
-    @property
     def center_nodes(self) -> np.ndarray:
         """One centre node per chain — the paper's Theorem 2.3 fault set.
 
@@ -66,11 +61,6 @@ class ChainReplacement:
         0-based position ``k // 2`` (either disconnects the chain).
         """
         return self.chain_nodes[:, self.k // 2].copy()
-
-    @property
-    def n_total(self) -> int:
-        """``N = n + k·m``, the size of ``H``."""
-        return self.graph.n
 
     def expected_component_size_after_center_attack(self) -> int:
         """Paper's bound: each surviving component has at most

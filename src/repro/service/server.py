@@ -33,7 +33,7 @@ import json
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -61,7 +61,6 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral (the bound port is SweepService.port)
     job_timeout: float = 300.0
     max_attempts: int = 3
-    heartbeat_interval: float = 1.0
     job_chunk: Optional[int] = None
     fsync: bool = False
     drain_timeout: float = 30.0
@@ -77,7 +76,6 @@ class _WorkerHandle:
     job_key: Optional[str] = None
     job_id: Optional[str] = None
     dispatched_at: Optional[float] = None
-    last_heartbeat: float = field(default_factory=time.time)
     ready: bool = False
 
     @property
@@ -217,7 +215,6 @@ class SweepService:
                 {
                     "store": str(self.config.store),
                     "fsync": self.config.fsync,
-                    "heartbeat_interval": self.config.heartbeat_interval,
                 },
             ),
             name=f"repro-worker-{worker_id}",
@@ -267,10 +264,7 @@ class SweepService:
         handle = self._workers.get(worker_id)
         if kind == "ready" and handle is not None:
             handle.ready = True
-            handle.last_heartbeat = time.time()
             self._preready_deaths = 0
-        elif kind == "hb" and handle is not None:
-            handle.last_heartbeat = event[2]
         elif kind == "done":
             _, _, job_key, result_dicts, hits, misses = event
             results = [RunResult.from_dict(d) for d in result_dicts]
@@ -280,8 +274,6 @@ class SweepService:
             _, _, job_key, trace = event
             self.scheduler.job_failed(job_key, trace)
             self._release(handle, job_key)
-        elif kind == "bye" and handle is not None:
-            handle.ready = False
 
     def _release(self, handle: Optional[_WorkerHandle], job_key: str) -> None:
         if handle is not None and handle.job_key == job_key:

@@ -15,13 +15,15 @@ state).  The protocol is deliberately tiny:
   (advisory-locked appends; trials already on disk are served as hits) and
   pushes ``("done", worker id, job key, [result dicts], hits, misses)``
   onto the shared event queue;
-* a daemon heartbeat thread pushes ``("hb", worker id, timestamp, job
-  key)`` every ``heartbeat_interval`` seconds so the server can tell a
-  long-running job from a hung worker;
 * execution errors are reported as ``("error", ...)`` with a traceback —
   the scheduler fails the sweep, because scenario execution is
-  deterministic and a retry would raise identically.  Crashes need no
-  protocol at all: the server notices the dead process and requeues.
+  deterministic and a retry would raise identically.
+
+Between jobs the worker blocks on its queue; the only other event it
+sends is ``("ready", worker id, timestamp)`` once its session is open.
+Crashes and hangs need no protocol at all: the server notices a dead
+process and requeues its job, and recycles a worker whose job outlives
+the job timeout.
 
 Trials are executed through :func:`repro.api.sweeps.execute_units` — the
 exact code path :func:`run_sweep` uses locally — so a distributed sweep's
@@ -31,15 +33,11 @@ single-process run by construction.
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = ["worker_main"]
-
-#: Seconds a worker blocks on its job queue before re-checking for exit.
-_POLL_S = 0.2
 
 
 def _build_session(config: Dict[str, Any]):
@@ -58,24 +56,12 @@ def worker_main(
 ) -> None:
     """Run the worker loop until the ``None`` sentinel arrives.
 
-    ``config`` keys: ``store`` (shared store directory), ``fsync``
-    (durable appends), ``heartbeat_interval`` (seconds).
+    ``config`` keys: ``store`` (shared store directory) and ``fsync``
+    (durable appends).
     """
     from ..api.sweeps import SweepSpec, execute_units
 
     session = _build_session(config)
-    hb_interval = float(config.get("heartbeat_interval", 1.0))
-    current: Dict[str, Optional[str]] = {"job": None}
-    stop = threading.Event()
-
-    def _heartbeat() -> None:
-        while not stop.wait(hb_interval):
-            try:
-                event_queue.put(("hb", worker_id, time.time(), current["job"]))
-            except Exception:  # queue torn down mid-shutdown
-                return
-
-    threading.Thread(target=_heartbeat, daemon=True, name="heartbeat").start()
     event_queue.put(("ready", worker_id, time.time()))
 
     # Sweep expansion is deterministic but not free; cache the expanded
@@ -83,14 +69,10 @@ def worker_main(
     sweeps: Dict[str, Tuple[Any, list]] = {}
 
     while True:
-        try:
-            message = job_queue.get(timeout=_POLL_S)
-        except Exception:  # queue.Empty — loop to stay responsive to EOF
-            continue
+        message = job_queue.get()
         if message is None:
             break
         job_key, sweep_dict, segments = message
-        current["job"] = job_key
         try:
             sweep_hash = sweep_dict.get("__hash__")
             cached = sweeps.get(sweep_hash) if sweep_hash else None
@@ -122,8 +104,3 @@ def worker_main(
             event_queue.put(
                 ("error", worker_id, job_key, traceback.format_exc(limit=20))
             )
-        finally:
-            current["job"] = None
-
-    stop.set()
-    event_queue.put(("bye", worker_id, time.time()))

@@ -57,25 +57,19 @@ class StorageEngine:
         self,
         path: Path,
         *,
-        lock: bool = True,
         fsync: bool = False,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         shards: Optional[Dict[str, int]] = None,
-        auto_compact: bool = True,
     ) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_bytes = segment_bytes
-        self.auto_compact = auto_compact
         self.counters = StorageCounters()
         #: Optional ``verify(kind, key, record) -> bool`` hook applied during
         #: compaction (the integrity sweep) — set by the ResultStore facade.
         self.verifier: Optional[Callable[[str, str, dict], bool]] = None
-        self._lock_enabled = lock
-        self._global_lock: Optional[FileLock] = (
-            FileLock(self.path / ".lock") if lock else None
-        )
+        self._global_lock = FileLock(self.path / ".lock")
         self._shard_counts = self._load_or_init_meta(
             shards if shards is not None else dict(DEFAULT_SHARDS)
         )
@@ -84,7 +78,6 @@ class StorageEngine:
             self._shards[kind] = [
                 Shard(
                     self.path / kind / f"shard-{i:02d}",
-                    lock=lock,
                     fsync=fsync,
                     segment_bytes=segment_bytes,
                     counters=self.counters,
@@ -142,7 +135,7 @@ class StorageEngine:
     def append_raw(self, kind: str, key: str, line: bytes) -> bool:
         shard = self.shard_for(kind, key)
         superseded = shard.append(key, line)
-        self._maybe_auto_compact(kind, shard)
+        self._compact_if_garbage(kind, shard)
         return superseded
 
     def append_many(self, kind: str, records: List[Tuple[str, dict]]) -> int:
@@ -156,12 +149,10 @@ class StorageEngine:
         superseded = 0
         for idx, items in batches.items():
             superseded += sum(shards[idx].append_many(items))
-            self._maybe_auto_compact(kind, shards[idx])
+            self._compact_if_garbage(kind, shards[idx])
         return superseded
 
-    def _maybe_auto_compact(self, kind: str, shard: Shard) -> None:
-        if not self.auto_compact:
-            return
+    def _compact_if_garbage(self, kind: str, shard: Shard) -> None:
         if (
             shard.garbage_lines + len(shard) >= AUTO_COMPACT_MIN_LINES
             and shard.garbage_ratio >= AUTO_COMPACT_GARBAGE

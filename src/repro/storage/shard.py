@@ -86,7 +86,6 @@ class Shard:
         self,
         path: Path,
         *,
-        lock: bool = True,
         fsync: bool = False,
         segment_bytes: int = 32 << 20,
         counters: Optional[StorageCounters] = None,
@@ -99,9 +98,7 @@ class Shard:
         #: Serialises this process's threads; the FileLock serialises
         #: processes.  Reentrant so compaction may call back into appends.
         self._mutex = threading.RLock()
-        self._flock: Optional[FileLock] = (
-            FileLock(self.path / ".lock") if lock else None
-        )
+        self._flock = FileLock(self.path / ".lock")
         self._entries: Dict[str, IndexEntry] = {}
         self._covered: Dict[int, int] = {}  # segment -> bytes accounted for
         self._total_lines = 0  # parseable record lines currently on disk
@@ -114,10 +111,6 @@ class Shard:
         self._read_fds: Dict[int, int] = {}
 
     # -- derived state ---------------------------------------------------- #
-
-    @property
-    def loaded(self) -> bool:
-        return self._loaded
 
     def __len__(self) -> int:
         self.ensure_loaded()
@@ -214,12 +207,11 @@ class Shard:
         """
         with self._mutex:
             acquired = False
-            if self._flock is not None:
-                try:
-                    self._flock.acquire()
-                    acquired = True
-                except OSError:
-                    pass
+            try:
+                self._flock.acquire()
+                acquired = True
+            except OSError:
+                pass
             try:
                 yield
             finally:

@@ -2,11 +2,8 @@
 
 from .rng import SeedLike, as_generator, random_subset, spawn
 from .unionfind import UnionFind
-from .parallel import chunked_map, effective_workers
 from .stats import (
     OnlineStats,
-    P2Quantile,
-    normal_interval,
     normal_ppf,
     wilson_interval,
     z_value,
@@ -27,13 +24,9 @@ __all__ = [
     "spawn",
     "random_subset",
     "UnionFind",
-    "chunked_map",
-    "effective_workers",
     "OnlineStats",
-    "P2Quantile",
     "normal_ppf",
     "z_value",
-    "normal_interval",
     "wilson_interval",
     "check_probability",
     "check_positive_int",

@@ -6,14 +6,12 @@ executor, so every estimator here is *online*: constant memory, one
 ``push`` per observation, queryable at any point mid-stream.
 
 * :class:`OnlineStats` — Welford's algorithm for mean/variance (numerically
-  stable single pass), with Chan's pairwise ``merge`` for combining
-  partial aggregates.
-* :func:`normal_interval` / :func:`wilson_interval` — confidence intervals
-  for real-valued and Bernoulli metrics respectively.  The Wilson score
-  interval stays honest at small ``n`` and near 0/1 rates, which is exactly
-  where a sweep's adaptive allocator needs reliable widths.
-* :class:`P2Quantile` — the P² (Jain & Chlamtac 1985) streaming quantile
-  estimator: five markers, O(1) per observation, no sample storage.
+  stable single pass) with a normal-approximation confidence interval
+  for the mean.
+* :func:`wilson_interval` — the confidence interval for Bernoulli
+  metrics.  The Wilson score interval stays honest at small ``n`` and
+  near 0/1 rates, which is exactly where a sweep's adaptive allocator
+  needs reliable widths.
 * :func:`normal_ppf` — inverse standard-normal CDF (Acklam's rational
   approximation, |relative error| < 1.2e-9) so confidence levels translate
   to z-values without a scipy dependency.
@@ -25,18 +23,15 @@ loops where a numpy round-trip per observation would dominate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import InvalidParameterError
 
 __all__ = [
     "OnlineStats",
-    "P2Quantile",
     "normal_ppf",
     "z_value",
     "t_value",
-    "normal_interval",
     "wilson_interval",
     "fit_isotonic",
     "fit_logistic",
@@ -223,22 +218,11 @@ def t_value(confidence: float, df: int) -> float:
 class OnlineStats:
     """Single-pass mean/variance/extremes (Welford's algorithm).
 
-    ``merge`` combines two partial aggregates exactly (Chan et al.), so
-    shards accumulated independently — e.g. per worker — collapse into the
-    same numbers one sequential pass would have produced, up to float
-    round-off.
-
     >>> stats = OnlineStats()
     >>> for x in (1.0, 2.0, 3.0, 4.0):
     ...     stats.push(x)
     >>> stats.count, stats.mean, round(stats.std, 4)
     (4, 2.5, 1.291)
-    >>> other = OnlineStats()
-    >>> other.push(5.0)
-    >>> stats.merge(other).count    # fold a worker's shard in place
-    5
-    >>> stats.mean
-    3.0
     >>> lo, hi = stats.interval(0.95)
     >>> lo < stats.mean < hi
     True
@@ -263,26 +247,6 @@ class OnlineStats:
             self.minimum = x
         if x > self.maximum:
             self.maximum = x
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Fold ``other``'s observations into this aggregate (in place)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return self
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / n
-        self.mean += delta * other.count / n
-        self.count = n
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
 
     @property
     def variance(self) -> float:
@@ -311,48 +275,11 @@ class OnlineStats:
             return math.inf
         return z_value(confidence) * self.stderr
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "m2": self._m2,
-            "min": None if self.count == 0 else self.minimum,
-            "max": None if self.count == 0 else self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "OnlineStats":
-        out = cls()
-        out.count = int(d["count"])
-        out.mean = float(d["mean"])
-        out._m2 = float(d["m2"])
-        if out.count > 0:
-            out.minimum = float(d["min"])
-            out.maximum = float(d["max"])
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"OnlineStats(n={self.count}, mean={self.mean:.6g}, "
             f"std={self.std:.6g})"
         )
-
-
-def normal_interval(
-    mean: float, std: float, n: int, confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Normal-approximation CI for a mean given summary statistics.
-
-    >>> lo, hi = normal_interval(0.5, 0.1, 100)
-    >>> (round(lo, 4), round(hi, 4))
-    (0.4804, 0.5196)
-    >>> normal_interval(0.5, 0.1, 1)
-    (-inf, inf)
-    """
-    if n < 2:
-        return -math.inf, math.inf
-    half = z_value(confidence) * std / math.sqrt(n)
-    return mean - half, mean + half
 
 
 def wilson_interval(
@@ -384,125 +311,6 @@ def wilson_interval(
     centre = (phat + z2 / (2.0 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
     return max(0.0, centre - half), min(1.0, centre + half)
-
-
-# --------------------------------------------------------------------- #
-# P² streaming quantile estimator
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class _Markers:
-    q: List[float]       # marker heights
-    n: List[float]       # actual marker positions (1-based)
-    np_: List[float]     # desired marker positions
-    dn: List[float]      # desired position increments
-
-
-class P2Quantile:
-    """The P² single-quantile estimator (Jain & Chlamtac, CACM 1985).
-
-    Five markers track the running ``p``-quantile in O(1) memory; below
-    five observations the exact order statistic is interpolated from the
-    buffered values.  Accuracy is within a few percent of the true
-    quantile for the smooth unimodal metric distributions a sweep
-    aggregates (γ fractions, retention ratios).
-
-    >>> sketch = P2Quantile(0.5)
-    >>> for x in range(1, 100):
-    ...     sketch.push(float(x))
-    >>> sketch.count
-    99
-    >>> abs(sketch.value - 50.0) < 2.0   # median of 1..99
-    True
-    """
-
-    __slots__ = ("p", "_buf", "_m")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise InvalidParameterError(f"quantile p must be in (0, 1), got {p}")
-        self.p = float(p)
-        self._buf: List[float] = []
-        self._m: Optional[_Markers] = None
-
-    @property
-    def count(self) -> int:
-        if self._m is None:
-            return len(self._buf)
-        return int(self._m.n[4])
-
-    def push(self, x: float) -> None:
-        x = float(x)
-        if self._m is None:
-            self._buf.append(x)
-            if len(self._buf) == 5:
-                self._buf.sort()
-                p = self.p
-                self._m = _Markers(
-                    q=list(self._buf),
-                    n=[1.0, 2.0, 3.0, 4.0, 5.0],
-                    np_=[1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-                    dn=[0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-                )
-                self._buf = []
-            return
-        m = self._m
-        q, n = m.q, m.n
-        # locate the cell and clamp the extremes
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            m.np_[i] += m.dn[i]
-        # adjust the three interior markers
-        for i in (1, 2, 3):
-            d = m.np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                d = 1.0 if d > 0 else -1.0
-                qi = self._parabolic(i, d)
-                if not q[i - 1] < qi < q[i + 1]:
-                    qi = self._linear(i, d)
-                q[i] = qi
-                n[i] += d
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q, n = self._m.q, self._m.n  # type: ignore[union-attr]
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q, n = self._m.q, self._m.n  # type: ignore[union-attr]
-        j = i + (1 if d > 0 else -1)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (``nan`` before any observation)."""
-        if self._m is not None:
-            return self._m.q[2]
-        if not self._buf:
-            return math.nan
-        ordered = sorted(self._buf)
-        # linear interpolation of the order statistic on the small buffer
-        pos = self.p * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 # --------------------------------------------------------------------- #

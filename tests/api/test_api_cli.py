@@ -198,6 +198,29 @@ class TestSweepCommand:
         assert "cli-sweep" in out
         assert "max trials: 6" in out
 
+    def test_plan_caps_max_trials_at_transition_budget(
+        self, tmp_path, capsys, sweep_dict
+    ):
+        """Regression: a transition sweep's budget caps its total, but
+        `plan` printed points x trials (24 here) as the maximum."""
+        sweep_dict["axes"][0]["values"] = [0.05, 0.2, 0.4]
+        sweep_dict["trials"] = 8
+        sweep_dict["policy"] = {
+            "kind": "transition", "target": 0.001, "budget": 10,
+            "min_trials": 2, "chunk": 2,
+        }
+        sweep_file = tmp_path / "sweep.json"
+        out_file = tmp_path / "result.json"
+        sweep_file.write_text(json.dumps(sweep_dict))
+        assert main(["sweep", "plan", str(sweep_file)]) == 0
+        out = capsys.readouterr().out
+        assert "max trials: 10\n" in out
+        assert "10 total" in out
+        assert main(
+            ["sweep", "run", str(sweep_file), "--json", str(out_file)]
+        ) == 0
+        assert json.loads(out_file.read_text())["total_trials"] == 10
+
     def test_run_and_status_and_warm_rerun(self, tmp_path, capsys, sweep_dict):
         sweep_file = tmp_path / "sweep.json"
         out_file = tmp_path / "result.json"
@@ -247,6 +270,7 @@ class TestSweepCommand:
             ("trials", None),
             ("metrics", 7),
             ("policy", {"kind": "cluster", "target": 0.05}),
+            ("policy", {"kind": "budget", "budget": 10}),
         ],
     )
     def test_plan_rejects_bad_field_with_exit_2(

@@ -52,25 +52,29 @@ class TestSerialExecutor:
 
 
 class TestProcessExecutor:
-    def test_matches_serial(self):
+    def test_matches_serial(self, pool_starts):
         items = list(range(12))
         expected = SerialExecutor().map(_square, items)
-        assert ProcessExecutor(2, min_parallel=2).map(_square, items) == expected
+        assert ProcessExecutor(2).map(_square, items) == expected
+        assert pool_starts == [2]
 
-    def test_imap_covers_all_indices(self):
-        pairs = list(ProcessExecutor(2, min_parallel=2).imap(_square, range(8)))
+    def test_imap_covers_all_indices(self, pool_starts):
+        pairs = list(ProcessExecutor(2).imap(_square, range(8)))
         assert sorted(i for i, _ in pairs) == list(range(8))
         assert all(r == i * i for i, r in pairs)
+        assert pool_starts == [2]
 
-    def test_small_batch_falls_back_to_serial(self):
-        # Below min_parallel the pool is never started; results identical.
-        assert ProcessExecutor(4, min_parallel=10).map(_square, [2, 3]) == [4, 9]
+    def test_small_batch_falls_back_to_serial(self, pool_starts):
+        # Too few items to amortise a pool: it is never started; results
+        # identical.
+        assert ProcessExecutor(4).map(_square, [2, 3]) == [4, 9]
+        assert pool_starts == []
 
     def test_abandoned_imap_cancels_queued_work(self):
         # Close the stream after one result: still-queued tasks must be
         # cancelled instead of executing during generator teardown.
         with tempfile.TemporaryDirectory() as marker_dir:
-            stream = ProcessExecutor(2, min_parallel=2).imap(
+            stream = ProcessExecutor(2).imap(
                 _slow_marker, [(marker_dir, i) for i in range(12)]
             )
             next(stream)

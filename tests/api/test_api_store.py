@@ -296,17 +296,12 @@ class TestWriteSafety:
     """Advisory locking, fsync and crash-tail recovery (the service's
     concurrent-store contract)."""
 
-    def test_lock_file_created_and_optional(self, tmp_path):
+    def test_lock_file_created(self, tmp_path):
         locked = ResultStore(tmp_path / "locked")
         locked.put_table("k", {"v": 1})
-        assert locked.lock is not None
-        # Appends lock per shard now: the written shard has a lock file.
+        # Appends lock per shard: the written shard has a lock file.
         shard = locked.engine.shard_for("tables", "k")
         assert (shard.path / ".lock").exists()
-        unlocked = ResultStore(tmp_path / "unlocked", lock=False)
-        unlocked.put_table("k", {"v": 1})
-        assert unlocked.lock is None
-        assert not list(unlocked.path.rglob(".lock"))
 
     def test_lock_is_reentrant_through_prune(self, store):
         """prune() holds the lock while calling put_result (which locks

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.executors import ProcessExecutor
 from repro.api.session import Session
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.sweeps import (
@@ -32,6 +31,11 @@ def _base(p: float = 0.1, *, analysis: AnalysisSpec | None = None) -> ScenarioSp
         else AnalysisSpec(mode="node", pruner=None, measure_expansion=False),
         label="t",
     )
+
+
+#: A pruning analysis: its trials run on the scalar engine through the
+#: session's executor (measure-only trials are stacked in-process).
+_PRUNE = AnalysisSpec(mode="node", pruner="prune", measure_expansion=False)
 
 
 def _sweep(**kwargs) -> SweepSpec:
@@ -99,8 +103,10 @@ def sweep_specs(draw):
             [
                 SamplingPolicy(),
                 SamplingPolicy(kind="ci_width", target=0.05, min_trials=2, chunk=3),
-                SamplingPolicy(kind="budget", budget=30, min_trials=2),
                 SamplingPolicy(kind="transition", target=0.05, min_trials=2),
+                SamplingPolicy(
+                    kind="transition", target=0.05, min_trials=2, budget=30
+                ),
             ]
         )
     )
@@ -397,21 +403,14 @@ class TestSamplingPolicy:
         assert alloc.next_requests(_views([0.01, 0.5]), [2, 9], 10) == [(1, 1)]
         assert alloc.next_requests(_views([0.01, 0.5]), [2, 10], 10) == []
 
-    def test_budget_spends_on_noisiest(self):
-        policy = SamplingPolicy(kind="budget", budget=10, min_trials=2, chunk=4)
-        alloc = policy.allocator()
-        assert alloc.next_requests(_views([math.inf] * 3), [0, 0, 0], 99) == [
-            (0, 2), (1, 2), (2, 2),
-        ]
-        nxt = alloc.next_requests(_views([0.1, 0.9, 0.2]), [2, 2, 2], 99)
-        assert nxt == [(1, 4)]
-        # budget spent
-        assert alloc.next_requests(_views([0.1, 0.3, 0.2]), [2, 6, 2], 99) == []
-
     def test_budget_never_exceeded(self):
-        alloc = SamplingPolicy(kind="budget", budget=5, min_trials=3).allocator()
+        alloc = SamplingPolicy(
+            kind="transition", target=0.05, budget=5, min_trials=3
+        ).allocator()
         first = alloc.next_requests(_views([math.inf] * 3), [0, 0, 0], 99)
         assert sum(n for _, n in first) == 5
+        # budget spent: no further round, however wide the intervals
+        assert alloc.next_requests(_views([0.5, 0.5, 0.5]), [3, 2, 0], 99) == []
 
     def test_validation(self):
         with pytest.raises(SpecError):
@@ -419,22 +418,30 @@ class TestSamplingPolicy:
         with pytest.raises(SpecError):
             SamplingPolicy(kind="ci_width")  # no target
         with pytest.raises(SpecError):
-            SamplingPolicy(kind="budget")  # no budget
-        with pytest.raises(SpecError):
             SamplingPolicy(target=-1.0)
         with pytest.raises(SpecError):
             SamplingPolicy(kind="transition")  # no target
         with pytest.raises(SpecError):
             SamplingPolicy(chunk=True)  # bools are not trial counts
         with pytest.raises(SpecError):
-            SamplingPolicy(kind="budget", budget=10.5)  # non-integral
+            SamplingPolicy(kind="transition", target=0.05, budget=10.5)
+        with pytest.raises(SpecError):
+            SamplingPolicy(kind="transition", target=0.05, budget=0)
 
     def test_cluster_kind_removed(self):
         with pytest.raises(SpecError) as err:
             SamplingPolicy(kind="cluster", target=0.05)
         assert str(err.value) == (
-            "policy kind must be one of ('fixed', 'ci_width', 'budget', "
-            "'transition'), got 'cluster'"
+            "policy kind must be one of ('fixed', 'ci_width', 'transition'), "
+            "got 'cluster'"
+        )
+
+    def test_budget_kind_removed(self):
+        with pytest.raises(SpecError) as err:
+            SamplingPolicy(kind="budget", budget=10)
+        assert str(err.value) == (
+            "policy kind must be one of ('fixed', 'ci_width', 'transition'), "
+            "got 'budget'"
         )
 
     # -- eq/hash contract (regression) --------------------------------- #
@@ -443,8 +450,12 @@ class TestSamplingPolicy:
         """int/float spellings of the same policy must be equal AND hash
         equal — JSON clients send either, and scheduler dedup keys on the
         content hash (pre-fix: eq held, hashes differed)."""
-        a = SamplingPolicy(kind="budget", budget=100, min_trials=2)
-        b = SamplingPolicy(kind="budget", budget=100.0, min_trials=2)
+        a = SamplingPolicy(
+            kind="transition", target=0.05, budget=100, min_trials=2
+        )
+        b = SamplingPolicy(
+            kind="transition", target=0.05, budget=100.0, min_trials=2
+        )
         assert a == b
         assert hash(a) == hash(b)
         c = SamplingPolicy(kind="ci_width", target=1, min_trials=2)
@@ -456,7 +467,9 @@ class TestSamplingPolicy:
         """A sweep round-tripped through JSON with int-vs-float policy
         fields keeps one content hash (what store reuse keys on)."""
         sweep = _sweep(
-            policy=SamplingPolicy(kind="budget", budget=100, min_trials=2)
+            policy=SamplingPolicy(
+                kind="transition", target=0.05, budget=100, min_trials=2
+            )
         )
         payload = json.loads(sweep.to_json())
         payload["policy"]["budget"] = 100.0
@@ -469,21 +482,22 @@ class TestSamplingPolicy:
 
     def test_budget_excludes_starved_points(self):
         """A point with min_trials spent and zero finite observations has
-        halfwidth inf forever; pre-fix it won every widest-point pick and
-        starved the rest of the grid."""
-        policy = SamplingPolicy(kind="budget", budget=20, min_trials=2, chunk=4)
+        halfwidth inf forever; it must not win every pick and starve the
+        rest of the grid out of the budget."""
+        policy = SamplingPolicy(
+            kind="transition", target=0.05, budget=20, min_trials=2, chunk=4
+        )
         alloc = policy.allocator()
         # point 0: 2 trials, no finite observations -> starved
-        nxt = alloc.next_requests(_views([math.inf, 0.5], [0, 2]), [2, 2], 99)
-        assert nxt == [(1, 4)]
+        starved = [PointView(math.inf, math.nan, 0), PointView(0.5, 0.4, 2)]
+        assert alloc.next_requests(starved, [2, 2], 99) == [(1, 4)]
         # all points starved: stop instead of burning budget forever
-        assert (
-            alloc.next_requests(_views([math.inf, math.inf], [0, 0]), [2, 2], 99)
-            == []
-        )
+        dead = [PointView(math.inf, math.nan, 0)] * 2
+        assert alloc.next_requests(dead, [2, 2], 99) == []
         # a point with finite observations but no interval yet is not
         # starved: its infinite half-width still wins the pick
-        assert alloc.next_requests(_views([math.inf, 0.5]), [2, 2], 99) == [(0, 4)]
+        fresh = [PointView(math.inf, 0.9, 1), PointView(0.5, 0.4, 2)]
+        assert alloc.next_requests(fresh, [2, 2], 99) == [(0, 4)]
 
     # -- stateful kinds -------------------------------------------------- #
 
@@ -531,14 +545,15 @@ class TestRunSweep:
             assert gamma.n == 4
             assert 0.0 <= gamma.mean <= 1.0
             assert gamma.ci_lo <= gamma.mean <= gamma.ci_hi
-            assert gamma.minimum <= gamma.p50 <= gamma.maximum
+            assert gamma.minimum <= gamma.mean <= gamma.maximum
 
-    def test_workers_serial_vs_pool_fingerprints_identical(self):
-        sweep = _sweep(trials=4)
+    def test_workers_serial_vs_pool_fingerprints_identical(self, pool_starts):
+        # Pruned trials take the scalar path, so the pool really runs them.
+        sweep = _sweep(base=_base(analysis=_PRUNE), trials=4)
         serial = run_sweep(sweep, Session(workers=1))
-        pooled = run_sweep(
-            sweep, Session(executor=ProcessExecutor(2, min_parallel=2))
-        )
+        assert pool_starts == []
+        pooled = run_sweep(sweep, Session(workers=2))
+        assert pool_starts == [2]
         assert serial.fingerprint() == pooled.fingerprint()
         for a, b in zip(serial.points, pooled.points):
             assert a.trial_fingerprints == b.trial_fingerprints
@@ -597,8 +612,10 @@ class TestRunSweep:
     def test_budget_policy_respects_total(self):
         result = run_sweep(
             _sweep(
-                trials=1,  # ignored by budget
-                policy=SamplingPolicy(kind="budget", budget=12, min_trials=3),
+                trials=99,  # the per-point cap never binds
+                policy=SamplingPolicy(
+                    kind="transition", target=0.001, budget=12, min_trials=3
+                ),
             ),
             Session(),
         )
@@ -630,8 +647,8 @@ class TestRunSweep:
 
     def test_budget_sweep_not_starved_by_all_nan_point(self):
         """Regression: a point whose metric never yields a finite value
-        (expansion_retention under measure_expansion=False) used to absorb
-        every remaining budget chunk while finite points got nothing."""
+        (expansion_retention under measure_expansion=False) must not absorb
+        every remaining budget chunk while finite points get nothing."""
         sweep = _sweep(
             axes=(Axis("analysis.measure_expansion", (False, True)),),
             base=_base(
@@ -641,7 +658,9 @@ class TestRunSweep:
             ),
             trials=99,
             metrics=("expansion_retention",),
-            policy=SamplingPolicy(kind="budget", budget=16, min_trials=3),
+            policy=SamplingPolicy(
+                kind="transition", target=0.01, budget=16, min_trials=3
+            ),
         )
         result = run_sweep(sweep, Session())
         nan_point, finite_point = result.points
@@ -650,16 +669,18 @@ class TestRunSweep:
         assert finite_point.n_trials == 13  # the rest of the budget
 
     @pytest.mark.parametrize("kind", ["transition"])
-    def test_adaptive_kind_fingerprints_identical_across_workers(self, kind):
+    def test_adaptive_kind_fingerprints_identical_across_workers(
+        self, kind, pool_starts
+    ):
         sweep = _sweep(
+            base=_base(analysis=_PRUNE),
             axes=(Axis("fault.params.p", (0.05, 0.3, 0.6)),),
             trials=8,
             policy=SamplingPolicy(kind=kind, target=0.04, min_trials=2, chunk=2),
         )
         serial = run_sweep(sweep, Session(workers=1))
-        pooled = run_sweep(
-            sweep, Session(executor=ProcessExecutor(2, min_parallel=2))
-        )
+        pooled = run_sweep(sweep, Session(workers=2))
+        assert pool_starts  # the bootstrap round alone has 6 trials
         assert serial.fingerprint() == pooled.fingerprint()
         assert [p.n_trials for p in serial.points] == [
             p.n_trials for p in pooled.points

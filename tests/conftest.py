@@ -26,6 +26,22 @@ def rng():
 
 
 @pytest.fixture
+def pool_starts(monkeypatch):
+    """The ``max_workers`` of every process pool an executor starts."""
+    from repro.api import executors
+
+    starts = []
+
+    class CountingPool(executors.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executors, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+@pytest.fixture
 def small_mesh():
     """4x4 mesh: 16 nodes, degree 2-4, the workhorse small planar graph."""
     return mesh([4, 4])

@@ -1,9 +1,8 @@
 """Property-based tests: SamplingPolicy allocation laws across all kinds.
 
 Every allocator must (a) only ever request positive trial counts, (b)
-respect the per-point cap (``fixed``/``ci_width``/``transition``) and
-the total budget (``budget``), and (c) be a pure
-function of the (views, allocated) stream — replaying the same stream
+respect the per-point cap and, for ``transition``, the total ``budget``,
+and (c) be a pure function of the (views, allocated) stream — replaying the same stream
 through a fresh allocator reproduces the identical request sequence,
 which is the property distributed fingerprint identity rests on.
 """
@@ -18,10 +17,12 @@ from repro.api.sweeps import PointView, SamplingPolicy
 _POLICIES = [
     SamplingPolicy(),
     SamplingPolicy(kind="ci_width", target=0.05, min_trials=2, chunk=3),
-    SamplingPolicy(kind="budget", budget=30, min_trials=2, chunk=4),
-    SamplingPolicy(kind="budget", budget=30, target=0.02, min_trials=3),
     SamplingPolicy(kind="transition", target=0.05, min_trials=2, chunk=4),
     SamplingPolicy(kind="transition", target=0.05, min_trials=2, budget=40),
+    SamplingPolicy(kind="transition", target=0.02, min_trials=3, budget=30),
+    SamplingPolicy(
+        kind="transition", target=0.05, min_trials=2, chunk=4, budget=30
+    ),
 ]
 
 
@@ -90,8 +91,6 @@ def test_requests_positive_and_in_range(policy, stream):
 @given(st.sampled_from(_POLICIES), observation_streams())
 def test_per_point_cap_respected(policy, stream):
     n_points, max_trials, rounds = stream
-    if policy.kind == "budget":
-        return  # budget bounds the total, not per point
     _, allocated = _drive(policy, n_points, max_trials, rounds)
     assert all(a <= max_trials for a in allocated)
 
@@ -123,15 +122,11 @@ def test_no_request_for_capped_points(policy, stream):
     n_points, max_trials, rounds = stream
     allocator = policy.allocator(())
     allocated = [0] * n_points
-    cap = policy.budget if policy.kind == "budget" else max_trials
     for views in rounds:
         requests = allocator.next_requests(views, list(allocated), max_trials)
         if not requests:
             break
         for i, n in requests:
-            if policy.kind != "budget":
-                assert allocated[i] < max_trials
+            assert allocated[i] < max_trials
             allocated[i] += n
-    assert (
-        sum(allocated) <= cap * (1 if policy.kind == "budget" else n_points)
-    )
+    assert sum(allocated) <= max_trials * n_points

@@ -175,8 +175,7 @@ class TestCiCells:
             stats = PointStats(
                 metric="prune2_success", n=n, mean=mean, std=0.0,
                 ci_lo=lo, ci_hi=hi, halfwidth=(hi - lo) / 2.0,
-                interval="wilson", minimum=0.0, maximum=1.0,
-                p10=mean, p50=mean, p90=mean, n_skipped=0,
+                interval="wilson", minimum=0.0, maximum=1.0, n_skipped=0,
             )
             half = _ci(stats)
             assert half is not None

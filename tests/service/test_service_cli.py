@@ -33,7 +33,6 @@ def service(tmp_path):
         workers=1,
         port=0,
         tick=0.02,
-        heartbeat_interval=0.2,
     )
     svc = SweepService(config)
     svc.start()
@@ -163,3 +162,29 @@ class TestServeCommand:
             blocker.close()
         assert rc == 2
         assert "cannot start service" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", ["--job-chunk=0", "--max-attempts=0", "--store=FILE"]
+    )
+    def test_serve_reports_bad_option(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        store_file = tmp_path / "regular-file"
+        store_file.write_text("")
+        spawned = []
+
+        def no_spawn(svc):
+            # Fail fast instead of serving forever if an option slips by.
+            spawned.append(svc)
+            raise OSError("a worker was spawned")
+
+        monkeypatch.setattr(SweepService, "_spawn_worker", no_spawn)
+        rc = main(
+            ["serve", "--store", str(tmp_path / "store"), "--workers", "1",
+             "--port", "0", option.replace("FILE", str(store_file))]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "cannot start service" in err
+        assert "Traceback" not in err
+        assert spawned == []

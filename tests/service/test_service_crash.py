@@ -46,7 +46,6 @@ class TestCrashRecovery:
         )
         config = ServiceConfig(
             store=str(tmp_path / "svc"), workers=2, tick=0.02,
-            heartbeat_interval=0.2,
         )
         with SweepService(config) as service:
             client = ServiceClient(service.url)

@@ -22,7 +22,7 @@ from repro.service.server import MAX_BODY_BYTES
 
 def _config(store, **overrides):
     defaults = dict(
-        store=str(store), workers=2, tick=0.02, heartbeat_interval=0.2
+        store=str(store), workers=2, tick=0.02
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -161,6 +161,7 @@ class TestEndpoints:
             dict(good, trials=None),
             dict(good, metrics=7),
             dict(good, policy={"kind": "cluster", "target": 0.05}),
+            dict(good, policy={"kind": "budget", "budget": 10}),
             {"sweep": good, "priority": None},
             {"sweep": good, "priority": 1.5},
             {"sweep": good, "priority": True},

@@ -72,7 +72,7 @@ class TestCounters:
 
 class TestEviction:
     def test_max_bytes_evicts_oldest_first(self, tmp_path):
-        engine = StorageEngine(tmp_path / "s", auto_compact=False)
+        engine = StorageEngine(tmp_path / "s")
         keys = [f"key-{i:03d}" for i in range(20)]
         for i, key in enumerate(keys):
             # Strictly increasing timestamps via the shard index is not
@@ -97,7 +97,7 @@ class TestEviction:
         assert engine.counters.get("evictions") > 0
 
     def test_max_age_evicts_old_entries(self, tmp_path):
-        engine = StorageEngine(tmp_path / "s", auto_compact=False)
+        engine = StorageEngine(tmp_path / "s")
         engine.append("results", "old", {"key": "old"})
         # Every entry is younger than an hour: nothing is dropped.
         engine.compact(max_age_s=3600)
@@ -118,12 +118,6 @@ class TestAutoCompaction:
         assert shard.superseded_current < AUTO_COMPACT_MIN_LINES
         assert engine.get_record("results", "hot")["i"] == AUTO_COMPACT_MIN_LINES + 7
 
-    def test_disabled_auto_compaction_accumulates(self, tmp_path):
-        engine = StorageEngine(tmp_path / "s", auto_compact=False)
-        for i in range(AUTO_COMPACT_MIN_LINES + 8):
-            engine.append("results", "hot", {"key": "hot", "i": i})
-        assert engine.counters.get("compactions") == 0
-
 
 class TestMinGarbageThreshold:
     def test_clean_shards_skipped(self, engine):
@@ -143,11 +137,11 @@ class TestMinGarbageThreshold:
     def test_cold_open_compact_sees_garbage(self, tmp_path):
         # The `cache compact` CLI opens the store and compacts immediately:
         # unloaded shards must report their real garbage ratio, not 0.0.
-        warm = StorageEngine(tmp_path / "s", auto_compact=False)
+        warm = StorageEngine(tmp_path / "s")
         for i in range(10):
             warm.append("results", f"k{i}", {"key": f"k{i}"})
             warm.append("results", f"k{i}", {"key": f"k{i}", "v": 2})
-        cold = StorageEngine(tmp_path / "s", auto_compact=False)
+        cold = StorageEngine(tmp_path / "s")
         totals = cold.compact(min_garbage=0.3)
         assert totals["kept"] == 10
         assert totals["superseded"] == 10

@@ -1,13 +1,9 @@
-"""Unit tests for the parallel map helper."""
+"""Unit tests for the worker-count rule the process executor resolves."""
 
 import pytest
 
+from repro.api.executors import effective_workers
 from repro.errors import InvalidParameterError
-from repro.util.parallel import chunked_map, effective_workers
-
-
-def _square(x):
-    return x * x
 
 
 class TestEffectiveWorkers:
@@ -21,24 +17,3 @@ class TestEffectiveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameterError):
             effective_workers(-1)
-
-
-class TestChunkedMap:
-    def test_serial_results_ordered(self):
-        assert chunked_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_empty(self):
-        assert chunked_map(_square, [], workers=1) == []
-
-    def test_small_input_stays_serial(self):
-        # workers > 1 but below min_parallel: still serial, same results
-        assert chunked_map(_square, [2, 3], workers=4, min_parallel=10) == [4, 9]
-
-    def test_parallel_matches_serial(self):
-        items = list(range(16))
-        serial = chunked_map(_square, items, workers=1)
-        parallel = chunked_map(_square, items, workers=2, min_parallel=2)
-        assert serial == parallel
-
-    def test_generator_input(self):
-        assert chunked_map(_square, (i for i in range(4)), workers=1) == [0, 1, 4, 9]

@@ -1,4 +1,4 @@
-"""Online aggregators: Welford vs numpy, CIs, P² quantiles, normal_ppf."""
+"""Online aggregators: Welford vs numpy, CIs, normal_ppf, curve fits."""
 
 import math
 
@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from repro.errors import InvalidParameterError
 from repro.util.stats import (
     OnlineStats,
-    P2Quantile,
     fit_isotonic,
     fit_logistic,
     logistic_slope,
     logistic_value,
-    normal_interval,
     normal_ppf,
     wilson_interval,
     z_value,
@@ -70,25 +68,6 @@ class TestOnlineStats:
         assert agg.minimum == min(xs)
         assert agg.maximum == max(xs)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=20),
-        st.lists(finite_floats, min_size=1, max_size=20),
-    )
-    def test_merge_equals_sequential(self, a, b):
-        left, right = OnlineStats(), OnlineStats()
-        for x in a:
-            left.push(x)
-        for x in b:
-            right.push(x)
-        left.merge(right)
-        seq = OnlineStats()
-        for x in a + b:
-            seq.push(x)
-        assert left.count == seq.count
-        assert left.mean == pytest.approx(seq.mean, rel=1e-9, abs=1e-7)
-        assert left.variance == pytest.approx(seq.variance, rel=1e-7, abs=1e-6)
-
     def test_empty(self):
         agg = OnlineStats()
         assert agg.count == 0
@@ -106,29 +85,23 @@ class TestOnlineStats:
             large.push(x)
         assert large.halfwidth(0.95) < small.halfwidth(0.95)
 
-    def test_dict_round_trip(self):
-        agg = OnlineStats()
-        for x in (1.0, 2.0, 4.0):
-            agg.push(x)
-        back = OnlineStats.from_dict(agg.to_dict())
-        assert back.count == agg.count
-        assert back.mean == agg.mean
-        assert back.variance == agg.variance
-        assert back.minimum == agg.minimum
-
 
 class TestIntervals:
-    def test_normal_interval_contains_truth(self):
+    def test_interval_contains_truth(self):
         rng = np.random.default_rng(1)
         hits = 0
         for _ in range(200):
-            xs = rng.normal(loc=3.0, scale=1.0, size=40)
-            lo, hi = normal_interval(float(xs.mean()), float(xs.std(ddof=1)), 40)
+            agg = OnlineStats()
+            for x in rng.normal(loc=3.0, scale=1.0, size=40):
+                agg.push(x)
+            lo, hi = agg.interval(0.95)
             hits += lo <= 3.0 <= hi
         assert hits >= 180  # ~95% nominal coverage
 
-    def test_normal_interval_tiny_n(self):
-        assert normal_interval(1.0, 1.0, 1) == (-math.inf, math.inf)
+    def test_interval_tiny_n(self):
+        agg = OnlineStats()
+        agg.push(1.0)
+        assert agg.interval() == (-math.inf, math.inf)
 
     def test_wilson_basic(self):
         lo, hi = wilson_interval(8, 10)
@@ -151,40 +124,6 @@ class TestIntervals:
         lo1, hi1 = wilson_interval(5, 10)
         lo2, hi2 = wilson_interval(500, 1000)
         assert hi2 - lo2 < hi1 - lo1
-
-
-class TestP2Quantile:
-    def test_small_sample_exact(self):
-        q = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            q.push(x)
-        assert q.value == pytest.approx(3.0)
-        assert q.count == 3
-
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    def test_tracks_uniform(self, p):
-        rng = np.random.default_rng(2)
-        q = P2Quantile(p)
-        xs = rng.random(5000)
-        for x in xs:
-            q.push(x)
-        assert q.value == pytest.approx(p, abs=0.03)
-        assert q.count == 5000
-
-    def test_tracks_normal_median(self):
-        rng = np.random.default_rng(3)
-        q = P2Quantile(0.5)
-        for x in rng.normal(loc=10.0, scale=2.0, size=4000):
-            q.push(x)
-        assert q.value == pytest.approx(10.0, abs=0.2)
-
-    def test_rejects_degenerate_p(self):
-        for p in (0.0, 1.0):
-            with pytest.raises(InvalidParameterError):
-                P2Quantile(p)
 
 
 class TestFitIsotonic:
