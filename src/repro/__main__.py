@@ -252,10 +252,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         print(f"  points:   {len(points)}")
         print(f"  policy:   {sweep.policy.kind} — {_describe_policy(sweep)}")
         print(f"  metrics:  {', '.join(sweep.metrics)}")
-        max_trials = len(points) * sweep.trials
-        if sweep.policy.kind == "transition" and sweep.policy.budget:
-            max_trials = min(sweep.policy.budget, max_trials)
-        print(f"  max trials: {max_trials}")
+        print(f"  max trials: {sweep.max_trials}")
         rows = [
             {"point": p.index, **{k.rsplit('.', 1)[-1]: v
                                   for k, v in p.coords if not isinstance(v, dict)},

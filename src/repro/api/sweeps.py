@@ -863,6 +863,16 @@ class SweepSpec:
             out *= len(a.values)
         return out
 
+    @property
+    def max_trials(self) -> int:
+        """The most trials the sweep can run: ``n_points × trials``,
+        capped by a ``transition`` policy's ``budget``.  Computed from the
+        axis lengths, without expanding the grid."""
+        total = self.n_points * self.trials
+        if self.policy.kind == "transition" and self.policy.budget:
+            total = min(self.policy.budget, total)
+        return total
+
     def points(self) -> List[SweepPoint]:
         """The grid, expanded deterministically (row-major axis product)."""
         base_dict = self.base.to_dict()

@@ -86,7 +86,7 @@ class Counters:
     True
     """
 
-    def __init__(self, *, prefix: str = "repro", clock=time.time) -> None:
+    def __init__(self, *, prefix: str = "repro", clock=time.monotonic) -> None:
         self.prefix = prefix
         self._clock = clock
         self._started = clock()

@@ -80,7 +80,6 @@ class Job:
     attempts: int = 0
     generation: int = 0
     worker: Optional[str] = None
-    dispatched_at: Optional[float] = None
 
     @property
     def key(self) -> str:
@@ -238,7 +237,6 @@ class Scheduler:
                     job.state = "stale"
                     continue
                 job.state = "dispatched"
-                job.dispatched_at = self._clock()
                 self.counters.inc("jobs_dispatched_total")
                 self._refresh_gauges()
                 spec_dict = entry.spec.to_dict()
@@ -310,7 +308,6 @@ class Scheduler:
             job.attempts += 1
             job.generation += 1
             job.worker = None
-            job.dispatched_at = None
             if job.attempts >= self.max_attempts:
                 self.counters.inc("jobs_failed_total")
                 self._fail(

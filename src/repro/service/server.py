@@ -7,9 +7,12 @@
   state behind its own lock;
 * a pool of **spawned** worker processes, each with a private job queue
   (exact crash attribution) and a shared event queue back to the server;
-* a single **service loop thread** that pumps worker events, dispatches
-  queued jobs to idle workers, detects dead workers and per-job timeouts
-  (requeue with bounded attempts, then fail), and respawns replacements;
+* a single **service loop thread** that blocks on the event queue —
+  worker events, plus a wake-up message that each submission and
+  shutdown put on the same queue — and dispatches queued jobs to idle
+  workers after every event.  On a fixed period of the monotonic clock
+  it also detects dead workers and per-job timeouts (requeue with
+  bounded attempts, then fail) and respawns replacements;
 * a :class:`ThreadingHTTPServer` exposing the REST surface::
 
       POST   /sweeps             submit a SweepSpec (dedup by content hash)
@@ -31,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -50,6 +54,20 @@ __all__ = ["ServiceConfig", "SweepService"]
 #: ``Content-Length`` is refused with 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most trials one sweep may ask for (``SweepSpec.max_trials``); a larger
+#: sweep is refused with 400 before the scheduler sees it.  The scheduler
+#: builds a round's trial specs under its lock, so without a cap one
+#: submission could stall every other request.
+MAX_SWEEP_TRIALS = 100_000
+
+#: Seconds between the service loop's worker liveness and job-timeout
+#: checks.  The loop blocks on the event queue in between: worker events,
+#: submissions and shutdown wake it, so no request waits on this period.
+LIVENESS_PERIOD = 0.05
+
+#: The event that wakes the service loop without carrying any news.
+_WAKE = ("wake", "")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -64,8 +82,6 @@ class ServiceConfig:
     job_chunk: Optional[int] = None
     fsync: bool = False
     drain_timeout: float = 30.0
-    #: Service-loop tick (event pump timeout); tests shrink it.
-    tick: float = 0.05
 
 
 @dataclass
@@ -123,7 +139,7 @@ class SweepService:
             (self.config.host, self.config.port), _make_handler(self)
         )
         self._httpd.daemon_threads = True
-        self.started_at = time.time()
+        self.started_at = time.monotonic()
         for _ in range(max(1, self.config.workers)):
             self._spawn_worker()
         self._loop_thread = threading.Thread(
@@ -162,17 +178,18 @@ class SweepService:
         self.begin_drain()
         clean = True
         if drain:
-            deadline = time.time() + self.config.drain_timeout
-            while time.time() < deadline:
+            deadline = time.monotonic() + self.config.drain_timeout
+            while time.monotonic() < deadline:
                 if self.scheduler.idle():
                     break
-                time.sleep(self.config.tick)
+                time.sleep(LIVENESS_PERIOD)
             else:
                 clean = False
         # Stop the loop before touching the pool: it mutates _workers on
-        # crash detection, and nothing needs event pumping past this point.
+        # crash detection, and no event needs handling past this point.
         self._stop_loop.set()
         if self._loop_thread is not None:
+            self._events.put(_WAKE)
             self._loop_thread.join(timeout=5.0)
         handles = list(self._workers.values())
         for handle in handles:
@@ -180,9 +197,9 @@ class SweepService:
                 handle.queue.put(None)
             except Exception:
                 pass
-        deadline = time.time() + max(self.config.drain_timeout, 5.0)
+        deadline = time.monotonic() + max(self.config.drain_timeout, 5.0)
         for handle in handles:
-            handle.process.join(timeout=max(deadline - time.time(), 0.1))
+            handle.process.join(timeout=max(deadline - time.monotonic(), 0.1))
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
@@ -240,26 +257,23 @@ class SweepService:
     # -- the service loop ------------------------------------------------ #
 
     def _loop(self) -> None:
+        next_check = time.monotonic()
         while not self._stop_loop.is_set():
-            drained_something = self._pump_events()
-            self._check_liveness()
+            now = time.monotonic()
+            if now >= next_check:
+                self._check_liveness()
+                next_check = now + LIVENESS_PERIOD
+            else:
+                try:
+                    event = self._events.get(timeout=next_check - now)
+                except queue.Empty:
+                    continue  # the liveness check is due
+                self._handle_event(event)
             self._dispatch()
-            if not drained_something:
-                self._stop_loop.wait(self.config.tick)
-
-    def _pump_events(self) -> bool:
-        import queue as _queue
-
-        got = False
-        while True:
-            try:
-                event = self._events.get_nowait()
-            except (_queue.Empty, OSError):
-                return got
-            got = True
-            self._handle_event(event)
 
     def _handle_event(self, event: Tuple) -> None:
+        """Apply one event; ``_WAKE`` matches no branch, so it only makes
+        the loop dispatch."""
         kind, worker_id = event[0], event[1]
         handle = self._workers.get(worker_id)
         if kind == "ready" and handle is not None:
@@ -282,7 +296,7 @@ class SweepService:
             handle.dispatched_at = None
 
     def _check_liveness(self) -> None:
-        now = time.time()
+        now = time.monotonic()
         for worker_id in list(self._workers):
             handle = self._workers[worker_id]
             alive = handle.process.is_alive()
@@ -324,7 +338,7 @@ class SweepService:
             job.worker = handle.id
             handle.job_key = job.key
             handle.job_id = job.id
-            handle.dispatched_at = time.time()
+            handle.dispatched_at = time.monotonic()
             handle.queue.put((job.key, spec_dict, list(job.segments)))
 
     # -- HTTP payload helpers -------------------------------------------- #
@@ -370,7 +384,7 @@ class SweepService:
             "queue_depth": self.scheduler.queue_depth(),
             "inflight": self.scheduler.inflight(),
             "uptime_s": (
-                time.time() - self.started_at if self.started_at else 0.0
+                time.monotonic() - self.started_at if self.started_at else 0.0
             ),
         }
 
@@ -401,7 +415,14 @@ class SweepService:
         else:
             spec_dict = payload
         spec = SweepSpec.from_dict(spec_dict)
+        if spec.max_trials > MAX_SWEEP_TRIALS:
+            raise SpecError(
+                f"sweep exceeds the limit of {MAX_SWEEP_TRIALS} trials "
+                "(grid points x trials, capped by a transition budget)"
+            )
         entry, deduped = self.scheduler.submit(spec, priority=priority)
+        if not deduped and entry.state == "running":
+            self._events.put(_WAKE)  # queued jobs: dispatch them now
         return (
             {
                 "id": entry.id,

@@ -20,7 +20,7 @@ state).  The protocol is deliberately tiny:
   deterministic and a retry would raise identically.
 
 Between jobs the worker blocks on its queue; the only other event it
-sends is ``("ready", worker id, timestamp)`` once its session is open.
+sends is ``("ready", worker id)`` once its session is open.
 Crashes and hangs need no protocol at all: the server notices a dead
 process and requeues its job, and recycles a worker whose job outlives
 the job timeout.
@@ -33,7 +33,6 @@ single-process run by construction.
 
 from __future__ import annotations
 
-import time
 import traceback
 from typing import Any, Dict, Tuple
 
@@ -62,7 +61,7 @@ def worker_main(
     from ..api.sweeps import SweepSpec, execute_units
 
     session = _build_session(config)
-    event_queue.put(("ready", worker_id, time.time()))
+    event_queue.put(("ready", worker_id))
 
     # Sweep expansion is deterministic but not free; cache the expanded
     # grid per sweep hash so a sweep's later jobs skip re-expansion.

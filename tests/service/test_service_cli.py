@@ -32,7 +32,6 @@ def service(tmp_path):
         store=str(tmp_path / "svc-store"),
         workers=1,
         port=0,
-        tick=0.02,
     )
     svc = SweepService(config)
     svc.start()

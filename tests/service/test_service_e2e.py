@@ -10,6 +10,7 @@ computation, and a warm store is served without engine calls.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -17,12 +18,13 @@ from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.api.sweeps import run_sweep
 from repro.service import ServiceClient, ServiceConfig, ServiceError, SweepService
-from repro.service.server import MAX_BODY_BYTES
+from repro.service import server
+from repro.service.server import MAX_BODY_BYTES, MAX_SWEEP_TRIALS
 
 
 def _config(store, **overrides):
     defaults = dict(
-        store=str(store), workers=2, tick=0.02
+        store=str(store), workers=2
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -174,6 +176,25 @@ class TestEndpoints:
                 assert err.value.status == 400, body
             assert client.sweeps()["sweeps"] == []
 
+    @pytest.mark.parametrize("trials", [1e308, 10**9], ids=["1e308", "1e9"])
+    def test_huge_trial_count_is_400(self, sweep, trials, tmp_path):
+        """Regression: a huge ``trials`` was accepted, and the scheduler
+        built the first round's trial specs while holding its lock, so
+        that POST and every later request hung."""
+        body = dict(sweep.to_dict(), trials=trials)
+        with SweepService(_config(tmp_path / "svc", workers=1)) as service:
+            client = ServiceClient(service.url, timeout=2)
+            start = time.monotonic()
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", "/sweeps", body)
+            assert time.monotonic() - start < 2
+            assert err.value.status == 400
+            assert f"limit of {MAX_SWEEP_TRIALS} trials" in str(err.value)
+            results = client.watch(
+                client.submit(sweep)["id"], interval=0.01, timeout=30
+            )
+            assert results["complete"]
+
     @staticmethod
     def _raw_post(service, content_length):
         """POST /sweeps with a declared length and no body, keeping the
@@ -212,3 +233,27 @@ class TestEndpoints:
             with pytest.raises(ServiceError) as err:
                 client.submit(sweep)
             assert err.value.status == 503
+
+
+
+class TestEventDrivenLoop:
+    def test_no_request_waits_on_the_liveness_period(
+        self, sweep, reference, tmp_path, monkeypatch
+    ):
+        """Worker events, submissions and shutdown each wake the service
+        loop, so a sweep completes and the service stops promptly even
+        with liveness checks a minute apart."""
+        monkeypatch.setattr(server, "LIVENESS_PERIOD", 60.0)
+        service = SweepService(_config(tmp_path / "svc")).start()
+        try:
+            client = ServiceClient(service.url)
+            results = client.watch(
+                client.submit(sweep)["id"], interval=0.01, timeout=10
+            )
+            assert results["fingerprint"] == reference.fingerprint()
+        finally:
+            start = time.monotonic()
+            clean = service.stop()
+            stop_s = time.monotonic() - start
+        assert clean
+        assert stop_s < 5
