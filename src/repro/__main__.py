@@ -66,30 +66,13 @@ import sys
 import time
 from pathlib import Path
 
-from .core.experiments import ALL_EXPERIMENTS
+from .core.experiments import ALL_EXPERIMENTS, EXPERIMENT_META
 from .errors import ReproError
 from .report.tables import format_row_dicts
 
 #: Store directory used by ``--resume`` and the ``cache`` subcommand when no
 #: explicit ``--store`` is given.
 DEFAULT_STORE = ".repro-cache"
-
-_DESCRIPTIONS = {
-    "e1": "Theorem 2.1 — Prune under adversarial faults",
-    "e2": "Claim 2.4 — chain-replacement expansion Θ(1/k)",
-    "e3": "Theorem 2.3 — chain-centre attack shatters H(G,k)",
-    "e4": "Theorem 2.5 — shattering uniform-expansion graphs",
-    "e5": "Theorem 3.1 — random faults at p = Θ(α)",
-    "e6": "Theorem 3.4 — Prune2 success threshold",
-    "e7": "Theorem 3.6 — mesh span ≤ 2",
-    "e8": "§1.1 survey — critical probabilities",
-    "e9": "§4 — routing / load-balancing consequences",
-    "e10": "§4 open problem — span of butterfly/deBruijn/S-E",
-    "e11": "ablation — cut-finder strategies",
-    "e12": "cascading faults — cascade size vs margin α",
-    "e13": "shortcut hardening of geographic graphs",
-    "e14": "small-world vs regular lattice disintegration",
-}
 
 
 def _load_specs(path: str):
@@ -797,7 +780,8 @@ def _run_experiments(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - t0
         print(
             format_row_dicts(
-                rows, title=f"{key.upper()} — {_DESCRIPTIONS[key]} ({elapsed:.1f}s)"
+                rows,
+                title=f"{key.upper()} — {EXPERIMENT_META[key]['title']} ({elapsed:.1f}s)",
             )
         )
         print()
@@ -881,7 +865,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list or not args.experiments:
         for key in ALL_EXPERIMENTS:
-            print(f"{key:>4}  {_DESCRIPTIONS[key]}")
+            print(f"{key:>4}  {EXPERIMENT_META[key]['title']}")
         print(
             "\nsubcommands: run <spec.json> | run-batch <specs.json> | "
             "sweep <run|plan|status|submit|watch> <sweep.json> | "

@@ -165,6 +165,27 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: Decimal strings of the node ids seen so far: joining cached strings is
+#: several times faster than json's integer encoding, and a record's node
+#: list is most of its fingerprinted bytes.  Ids from ``_MAX_CACHED_ID`` up
+#: (which bounds the cache) take json's path.
+_ID_STRINGS: Dict[int, str] = {}
+_MAX_CACHED_ID = 1 << 16
+
+
+def _id_list_json(ids: list) -> str:
+    """``canonical_json(ids)`` for a record's node ids (Python ints)."""
+    last = ids[-1] if ids else -1
+    if type(last) is int and 0 <= last < _MAX_CACHED_ID:
+        try:
+            return "[" + ",".join(map(_ID_STRINGS.__getitem__, ids)) + "]"
+        except KeyError:  # an id not cached yet (or not a small int at all)
+            if all(type(i) is int and 0 <= i < _MAX_CACHED_ID for i in ids):
+                _ID_STRINGS.update((i, str(i)) for i in ids)
+                return _id_list_json(ids)
+    return canonical_json(ids)
+
+
 def spec_hash(spec: "GraphSpec | FaultSpec | AnalysisSpec | ScenarioSpec") -> str:
     """Short content hash identifying a spec (stable across processes).
 
@@ -223,8 +244,13 @@ class GraphSpec:
         )
 
     def key(self) -> str:
-        """Content hash — the engine's baseline-cache key component."""
-        return spec_hash(self)
+        """Content hash — the engine's baseline-cache key component
+        (memoised: the spec is frozen, and every trial is keyed)."""
+        cached = getattr(self, "_key", None)
+        if cached is None:
+            cached = spec_hash(self)
+            object.__setattr__(self, "_key", cached)
+        return cached
 
     def __hash__(self) -> int:
         # The generated field-tuple hash would crash on the params dict;
@@ -443,14 +469,29 @@ class ScenarioSpec:
     def hash(self) -> str:
         # Memoised (specs are frozen): every trial is hashed at least
         # twice — engine packaging and store keying — at sweep scale.
+        # This is spec_hash(self): "seed" is the last key in sorted order,
+        # so the canonical JSON is the seedless body with the seed added.
         cached = getattr(self, "_hash", None)
         if cached is None:
-            cached = spec_hash(self)
+            text = self._seedless_json()[:-1] + ',"seed":' + canonical_json(self.seed)
+            cached = hashlib.sha256((text + "}").encode()).hexdigest()[:16]
             object.__setattr__(self, "_hash", cached)
         return cached
 
+    def _seedless_json(self) -> str:
+        cached = getattr(self, "_seedless", None)
+        if cached is None:
+            d = self.to_dict()
+            del d["seed"]
+            cached = canonical_json(d)
+            object.__setattr__(self, "_seedless", cached)
+        return cached
+
     def with_seed(self, seed: Optional[int]) -> "ScenarioSpec":
-        return replace(self, seed=seed)
+        # a sweep's trials are seed variants of one point: share its body
+        spec = replace(self, seed=seed)
+        object.__setattr__(spec, "_seedless", self._seedless_json())
+        return spec
 
     def __hash__(self) -> int:
         return hash(canonical_json(self.to_dict()))
@@ -559,8 +600,13 @@ class RunResult:
         if cached is not None:
             return cached
         d = self.to_dict()
-        d.pop("timings", None)
-        value = hashlib.sha256(canonical_json(d).encode()).hexdigest()[:16]
+        del d["timings"]
+        nodes = d.pop("surviving_nodes")
+        # canonical_json(d) with the node list put back by hand: it is the
+        # last key in sorted order, and most of the record's bytes
+        text = canonical_json(d)[:-1] + ',"surviving_nodes":'
+        text += _id_list_json(nodes) + "}"
+        value = hashlib.sha256(text.encode()).hexdigest()[:16]
         object.__setattr__(self, "_fingerprint", value)
         return value
 

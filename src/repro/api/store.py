@@ -165,6 +165,10 @@ class ResultStore:
         #: Results shipped in via :meth:`remember` (already persisted by
         #: another process) — overlay consulted before the shard indexes.
         self._remembered: Dict[str, RunResult] = {}
+        #: How many of those keys the shard indexes did not hold, as of
+        #: ``_overlay_loads`` results-index loads.
+        self._remembered_unindexed = 0
+        self._overlay_loads = 0
 
     # -- engine plumbing -------------------------------------------------- #
 
@@ -217,7 +221,11 @@ class ResultStore:
     def reload(self) -> None:
         """Drop the in-memory indexes (picks up other processes' appends)."""
         self.engine.reload()
+        self._forget()
+
+    def _forget(self) -> None:
         self._remembered = {}
+        self._remembered_unindexed = 0
 
     # -- results -------------------------------------------------------- #
 
@@ -284,12 +292,15 @@ class ResultStore:
         """Insert an *already persisted* result into the in-memory overlay.
 
         The service's workers append to the same store from other
-        processes and ship each result back over the event queue; the
+        processes and ship each result back over their event pipes; the
         server indexes them through this method instead of re-reading any
         files, so its warm-point checks stay current with zero disk
         traffic.
         """
-        self._remembered[result.spec.hash()] = result
+        key = result.spec.hash()
+        if key not in self._remembered and not self.engine.contains("results", key):
+            self._remembered_unindexed += 1
+        self._remembered[key] = result
 
     def contains_key(self, key: str) -> bool:
         """O(1) index membership for a raw result key — no file read."""
@@ -299,11 +310,17 @@ class ResultStore:
         return self.contains_key(spec.hash())
 
     def __len__(self) -> int:
+        """Live results: the shard indexes plus what :meth:`remember`
+        added beyond them — O(shards) until an index reloads."""
         n = self.engine.count("results")
-        for key in self._remembered:
-            if not self.engine.contains("results", key):
-                n += 1
-        return n
+        loads = self.engine.loads("results")
+        if loads != self._overlay_loads:
+            # a reloaded index may now hold keys the overlay counted
+            self._remembered_unindexed = sum(
+                not self.engine.contains("results", key) for key in self._remembered
+            )
+            self._overlay_loads = loads
+        return n + self._remembered_unindexed
 
     # -- baselines ------------------------------------------------------ #
 
@@ -404,7 +421,7 @@ class ResultStore:
         """
         with self.lock:
             totals = self.engine.compact(force=True)
-        self._remembered = {}
+        self._forget()
         return {
             "kept": self.engine.count("results"),
             "dropped": totals["superseded"]
@@ -416,4 +433,4 @@ class ResultStore:
         """Delete every stored entry (segments and indexes are removed)."""
         with self.lock:
             self.engine.clear()
-        self._remembered = {}
+        self._forget()

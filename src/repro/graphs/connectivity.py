@@ -5,28 +5,31 @@ theorem tells it how many faults break *connectivity at all*: no fewer than
 the vertex connectivity ``κ(G)`` node deletions can disconnect the network.
 These quantities bracket the interesting fault regime
 (``κ(G) ≤ faults-to-disconnect ≤ faults-to-shatter``), so the library ships
-an exact unit-capacity max-flow engine:
+exact unit-capacity max-flow bounds:
 
 * :func:`edge_connectivity_between` — max edge-disjoint ``s``–``t`` paths
-  (Dinic's algorithm on the bidirected unit-capacity graph);
+  (a max flow on the bidirected unit-capacity graph);
 * :func:`node_connectivity_between` — max internally vertex-disjoint paths
   via the standard node-splitting transform;
 * :func:`global_node_connectivity` — κ(G) by the Even–Tarjan reduction
   (flows from a minimum-degree anchor to its non-neighbours, plus flows
   between non-adjacent neighbour pairs of the anchor).
 
-Dinic on unit-capacity graphs runs in ``O(m·√m)``, comfortable for every
-instance in this repository.  Cross-checked against networkx in the tests.
+Every flow is one ``scipy.sparse.csgraph.maximum_flow(method="dinic")``
+call on an int32 capacity matrix.  Cross-checked against networkx in the
+tests.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from ..errors import InvalidParameterError
+from .build import to_scipy_sparse
 from .graph import Graph
 
 __all__ = [
@@ -38,88 +41,18 @@ __all__ = [
 ]
 
 
-class _Dinic:
-    """Dinic max-flow on an explicit arc list (parallel arc per direction)."""
-
-    __slots__ = ("n", "head", "nxt", "to", "cap", "level", "iter")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.head = [-1] * n
-        self.nxt: List[int] = []
-        self.to: List[int] = []
-        self.cap: List[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
-        self.nxt.append(self.head[u])
-        self.head[u] = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.nxt.append(self.head[v])
-        self.head[v] = len(self.to)
-        self.to.append(u)
-        self.cap.append(rcap)
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            e = self.head[u]
-            while e != -1:
-                v = self.to[e]
-                if self.cap[e] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    queue.append(v)
-                e = self.nxt[e]
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, f: int) -> int:
-        if u == t:
-            return f
-        while self.iter[u] != -1:
-            e = self.iter[u]
-            v = self.to[e]
-            if self.cap[e] > 0 and self.level[v] == self.level[u] + 1:
-                d = self._dfs(v, t, min(f, self.cap[e]))
-                if d > 0:
-                    self.cap[e] -= d
-                    self.cap[e ^ 1] += d
-                    return d
-            self.iter[u] = self.nxt[e]
-        return 0
-
-    def max_flow(self, s: int, t: int, limit: int = 1 << 60) -> int:
-        flow = 0
-        while flow < limit and self._bfs(s, t):
-            self.iter = list(self.head)
-            while True:
-                f = self._dfs(s, t, limit - flow)
-                if f == 0:
-                    break
-                flow += f
-        return flow
-
-    def min_cut_side(self, s: int) -> np.ndarray:
-        """Nodes reachable from ``s`` in the residual graph (after max_flow)."""
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            e = self.head[u]
-            while e != -1:
-                v = self.to[e]
-                if self.cap[e] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-                e = self.nxt[e]
-        return np.flatnonzero(np.asarray(seen))
+def _split_capacities(graph: Graph) -> sp.csr_matrix:
+    """Node-splitting transform: v → (v_in = 2v, v_out = 2v+1), internal
+    capacity 1, edge arcs with effectively-infinite capacity."""
+    n = graph.n
+    inf = n + 1  # no vertex cut can exceed n, so n+1 acts as infinity
+    nodes = np.arange(n, dtype=np.int64)
+    u, v = graph.edge_array().T
+    tails = np.concatenate([2 * nodes, 2 * u + 1, 2 * v + 1])
+    heads = np.concatenate([2 * nodes + 1, 2 * v, 2 * u])
+    caps = np.full(tails.shape[0], inf, dtype=np.int32)
+    caps[:n] = 1
+    return sp.csr_matrix((caps, (tails, heads)), shape=(2 * n, 2 * n))
 
 
 def _check_pair(graph: Graph, s: int, t: int) -> None:
@@ -132,23 +65,9 @@ def _check_pair(graph: Graph, s: int, t: int) -> None:
 def edge_connectivity_between(graph: Graph, s: int, t: int) -> int:
     """Maximum number of edge-disjoint ``s``–``t`` paths (= min edge cut)."""
     _check_pair(graph, s, t)
-    dinic = _Dinic(graph.n)
-    for u, v in graph.edge_array().tolist():
-        dinic.add_edge(u, v, 1, 1)  # undirected: capacity 1 both ways
-    return dinic.max_flow(s, t)
-
-
-def _split_network(graph: Graph) -> _Dinic:
-    """Node-splitting transform: v → (v_in = 2v, v_out = 2v+1), internal
-    capacity 1, edge arcs with effectively-infinite capacity."""
-    inf = graph.n + 1  # no vertex cut can exceed n, so n+1 acts as infinity
-    dinic = _Dinic(2 * graph.n)
-    for v in range(graph.n):
-        dinic.add_edge(2 * v, 2 * v + 1, 1)
-    for u, v in graph.edge_array().tolist():
-        dinic.add_edge(2 * u + 1, 2 * v, inf)
-        dinic.add_edge(2 * v + 1, 2 * u, inf)
-    return dinic
+    # undirected: the symmetric adjacency gives every edge capacity 1 both ways
+    unit = to_scipy_sparse(graph).astype(np.int32)
+    return int(csgraph.maximum_flow(unit, s, t, method="dinic").flow_value)
 
 
 def node_connectivity_between(graph: Graph, s: int, t: int) -> int:
@@ -161,8 +80,8 @@ def node_connectivity_between(graph: Graph, s: int, t: int) -> int:
     _check_pair(graph, s, t)
     if graph.has_edge(s, t):
         return graph.n  # adjacent: cannot be separated by vertex deletions
-    dinic = _split_network(graph)
-    return dinic.max_flow(2 * s + 1, 2 * t)
+    split = _split_capacities(graph)
+    return int(csgraph.maximum_flow(split, 2 * s + 1, 2 * t, method="dinic").flow_value)
 
 
 def min_vertex_cut_between(graph: Graph, s: int, t: int) -> np.ndarray:
@@ -174,15 +93,17 @@ def min_vertex_cut_between(graph: Graph, s: int, t: int) -> np.ndarray:
     _check_pair(graph, s, t)
     if graph.has_edge(s, t):
         raise InvalidParameterError("adjacent endpoints cannot be separated")
-    dinic = _split_network(graph)
-    dinic.max_flow(2 * s + 1, 2 * t)
-    reach = set(dinic.min_cut_side(2 * s + 1).tolist())
-    cut = [
-        v
-        for v in range(graph.n)
-        if 2 * v in reach and 2 * v + 1 not in reach  # saturated internal arc
-    ]
-    return np.array(sorted(cut), dtype=np.int64)
+    capacities = _split_capacities(graph)
+    flow = csgraph.maximum_flow(capacities, 2 * s + 1, 2 * t, method="dinic").flow
+    # the source side of the cut: what s_out still reaches in the residual
+    # graph, the same node set for every maximum flow
+    residual = (capacities - flow) > 0
+    reach = np.zeros(2 * graph.n, dtype=bool)
+    reach[
+        csgraph.breadth_first_order(residual, 2 * s + 1, return_predecessors=False)
+    ] = True
+    # a saturated internal arc: v_in reached, v_out not
+    return np.flatnonzero(reach[0::2] & ~reach[1::2]).astype(np.int64)
 
 
 def global_edge_connectivity(graph: Graph) -> int:

@@ -1,14 +1,16 @@
-"""Vectorised traversal primitives: BFS, connected components, distances.
+"""Traversal primitives: BFS, connected components, distances.
 
-BFS expands whole frontiers at a time with one neighbour gather per level
-(O(levels) numpy calls instead of O(edges) Python iterations), which is the
-main reason the experiment sweeps run at laptop scale.
+Whole-graph components and distances run in scipy's ``csgraph`` over the
+graph's own CSR arrays.  :func:`bfs_tree` and :func:`is_subset_connected`
+stay frontier BFS loops (one neighbour gather per level): the first because
+its parent choice feeds the routing paths, the second because it walks a
+node subset without building the induced subgraph.
 
 Connected components are labelled three ways, cross-checked in tests: the
-scalar :func:`connected_components` is a frontier BFS over one graph,
+scalar :func:`connected_components` is one ``csgraph`` call over one graph,
 :func:`connected_components_unionfind` is its union-find oracle, and
 :func:`batched_connected_components` labels ``T`` masked trials of one graph
-at once with scipy's ``csgraph`` over their block-diagonal trial graph.
+at once with ``csgraph`` over their block-diagonal trial graph.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import scipy.sparse.csgraph as csgraph
 
 from ..errors import InvalidParameterError, NotConnectedError
 from ..util.unionfind import UnionFind
+from .build import to_scipy_sparse
 from .graph import Graph, neighbors_of_many
 
 __all__ = [
@@ -61,21 +64,10 @@ def bfs_distances(graph: Graph, sources: Sequence[int] | np.ndarray | int) -> np
         raise InvalidParameterError("bfs_distances needs at least one source")
     if src.min() < 0 or src.max() >= graph.n:
         raise InvalidParameterError(f"source ids outside [0, {graph.n})")
-    dist = np.full(graph.n, UNREACHED, dtype=np.int64)
-    frontier = np.unique(src)
-    dist[frontier] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        nbrs = neighbors_of_many(graph, frontier)
-        if nbrs.size == 0:
-            break
-        fresh = nbrs[dist[nbrs] == UNREACHED]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        dist[frontier] = level
-    return dist
+    dist = csgraph.dijkstra(
+        to_scipy_sparse(graph), indices=np.unique(src), unweighted=True, min_only=True
+    )
+    return np.where(np.isinf(dist), UNREACHED, dist).astype(np.int64)
 
 
 def bfs_tree(graph: Graph, root: int) -> np.ndarray:
@@ -103,28 +95,10 @@ def bfs_tree(graph: Graph, root: int) -> np.ndarray:
 
 def connected_components(graph: Graph) -> np.ndarray:
     """Component label per node (labels dense, ordered by smallest member)."""
-    labels = np.full(graph.n, -1, dtype=np.int64)
-    current = 0
-    unvisited_ptr = 0
-    while True:
-        # advance to the next unlabelled node
-        while unvisited_ptr < graph.n and labels[unvisited_ptr] != -1:
-            unvisited_ptr += 1
-        if unvisited_ptr >= graph.n:
-            break
-        frontier = np.array([unvisited_ptr], dtype=np.int64)
-        labels[frontier] = current
-        while frontier.size:
-            nbrs = neighbors_of_many(graph, frontier)
-            if nbrs.size == 0:
-                break
-            fresh = np.unique(nbrs[labels[nbrs] == -1])
-            if fresh.size == 0:
-                break
-            labels[fresh] = current
-            frontier = fresh
-        current += 1
-    return labels
+    if graph.n == 0:
+        return np.empty(0, dtype=np.int64)
+    _, labels = csgraph.connected_components(to_scipy_sparse(graph), directed=False)
+    return labels.astype(np.int64)
 
 
 def connected_components_unionfind(graph: Graph) -> np.ndarray:
@@ -165,8 +139,10 @@ def is_connected(graph: Graph) -> bool:
     """Whether the graph is connected (the empty graph counts as connected)."""
     if graph.n <= 1:
         return True
-    dist = bfs_distances(graph, 0)
-    return bool(np.all(dist >= 0))
+    n_components = csgraph.connected_components(
+        to_scipy_sparse(graph), directed=False, return_labels=False
+    )
+    return n_components == 1
 
 
 def is_subset_connected(graph: Graph, subset: np.ndarray) -> bool:

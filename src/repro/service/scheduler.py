@@ -323,6 +323,15 @@ class Scheduler:
             self._refresh_gauges()
             return True
 
+    def fail_all(self, error: str) -> None:
+        """Fail every live sweep with ``error`` (the service can no longer
+        run any job)."""
+        with self._lock:
+            for entry in self._sweeps.values():
+                if entry.state in ("queued", "running"):
+                    self._fail(entry, error)
+            self._refresh_gauges()
+
     # -- status / results ------------------------------------------------ #
 
     def entries(self) -> List[SweepEntry]:

@@ -6,13 +6,15 @@
 * a :class:`~repro.service.scheduler.Scheduler` holding all sweep/job
   state behind its own lock;
 * a pool of **spawned** worker processes, each with a private job queue
-  (exact crash attribution) and a shared event queue back to the server;
-* a single **service loop thread** that blocks on the event queue —
-  worker events, plus a wake-up message that each submission and
-  shutdown put on the same queue — and dispatches queued jobs to idle
-  workers after every event.  On a fixed period of the monotonic clock
-  it also detects dead workers and per-job timeouts (requeue with
-  bounded attempts, then fail) and respawns replacements;
+  (exact crash attribution) and a private event pipe back to the server
+  (a worker killed mid-write can garble only its own pipe, never stall
+  another worker's events);
+* a single **service loop thread** that blocks on every event pipe plus
+  a wake-up pipe that each submission and shutdown write to, and
+  dispatches queued jobs to idle workers after every event.  On a fixed
+  period of the monotonic clock it also detects dead workers and per-job
+  timeouts (requeue with bounded attempts, then fail) and respawns
+  replacements;
 * a :class:`ThreadingHTTPServer` exposing the REST surface::
 
       POST   /sweeps             submit a SweepSpec (dedup by content hash)
@@ -34,11 +36,11 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
-import queue
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.specs import RunResult
@@ -61,12 +63,14 @@ MAX_BODY_BYTES = 1 << 20
 MAX_SWEEP_TRIALS = 100_000
 
 #: Seconds between the service loop's worker liveness and job-timeout
-#: checks.  The loop blocks on the event queue in between: worker events,
+#: checks.  The loop blocks on the event pipes in between: worker events,
 #: submissions and shutdown wake it, so no request waits on this period.
 LIVENESS_PERIOD = 0.05
 
-#: The event that wakes the service loop without carrying any news.
-_WAKE = ("wake", "")
+#: Workers that may die before their ``ready`` event, in a row, before
+#: the service stops respawning: such deaths are most likely an
+#: environment problem every replacement would share.
+MAX_PREREADY_DEATHS = 5
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,7 @@ class _WorkerHandle:
     id: str
     process: Any
     queue: Any
+    events: Any = None  # read end of the worker's event pipe; None once closed
     job_key: Optional[str] = None
     job_id: Optional[str] = None
     dispatched_at: Optional[float] = None
@@ -118,7 +123,8 @@ class SweepService:
         )
         self.started_at: Optional[float] = None
         self._ctx = multiprocessing.get_context("spawn")
-        self._events = self._ctx.Queue()
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._wake_lock = threading.Lock()  # HTTP threads share _wake_w
         self._workers: Dict[str, _WorkerHandle] = {}
         self._worker_seq = itertools.count()
         self._loop_thread: Optional[threading.Thread] = None
@@ -189,7 +195,7 @@ class SweepService:
         # crash detection, and no event needs handling past this point.
         self._stop_loop.set()
         if self._loop_thread is not None:
-            self._events.put(_WAKE)
+            self._wake()
             self._loop_thread.join(timeout=5.0)
         handles = list(self._workers.values())
         for handle in handles:
@@ -223,12 +229,13 @@ class SweepService:
     def _spawn_worker(self) -> _WorkerHandle:
         worker_id = f"w{next(self._worker_seq)}"
         queue = self._ctx.Queue()
+        events, events_w = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_entry,
             args=(
                 worker_id,
                 queue,
-                self._events,
+                events_w,
                 {
                     "store": str(self.config.store),
                     "fsync": self.config.fsync,
@@ -238,7 +245,10 @@ class SweepService:
             daemon=True,
         )
         process.start()
-        handle = _WorkerHandle(id=worker_id, process=process, queue=queue)
+        events_w.close()  # the worker's copy is the only writer: EOF on death
+        handle = _WorkerHandle(
+            id=worker_id, process=process, queue=queue, events=events
+        )
         self._workers[worker_id] = handle
         self.counters.inc("workers_spawned_total")
         self._refresh_worker_gauge()
@@ -264,16 +274,36 @@ class SweepService:
                 self._check_liveness()
                 next_check = now + LIVENESS_PERIOD
             else:
-                try:
-                    event = self._events.get(timeout=next_check - now)
-                except queue.Empty:
-                    continue  # the liveness check is due
-                self._handle_event(event)
+                pipes = {
+                    h.events: h
+                    for h in self._workers.values()
+                    if h.events is not None
+                }
+                for conn in wait([self._wake_r, *pipes], next_check - now):
+                    if conn is self._wake_r:
+                        while conn.poll():
+                            conn.recv_bytes()
+                    else:
+                        self._receive(pipes[conn])
             self._dispatch()
 
+    def _wake(self) -> None:
+        """Make the loop run a dispatch pass now."""
+        with self._wake_lock:
+            self._wake_w.send_bytes(b"")
+
+    def _receive(self, handle: _WorkerHandle) -> None:
+        try:
+            event = handle.events.recv()
+        except (EOFError, OSError):
+            # The worker exited, perhaps mid-message: stop listening.  The
+            # liveness check reaps it and requeues its job.
+            handle.events.close()
+            handle.events = None
+            return
+        self._handle_event(event)
+
     def _handle_event(self, event: Tuple) -> None:
-        """Apply one event; ``_WAKE`` matches no branch, so it only makes
-        the loop dispatch."""
         kind, worker_id = event[0], event[1]
         handle = self._workers.get(worker_id)
         if kind == "ready" and handle is not None:
@@ -318,14 +348,27 @@ class SweepService:
             if handle.job_key is not None:
                 self.scheduler.requeue(handle.job_key, reason)
             elif not handle.ready:
-                # Died before its "ready" event: likely an environment
-                # problem every replacement would share — bound the storm.
-                self._preready_deaths += 1
+                self._preready_deaths += 1  # see MAX_PREREADY_DEATHS
             del self._workers[worker_id]
             handle.queue.close()
-            if not self.draining and self._preready_deaths < 5:
+            if handle.events is not None:
+                handle.events.close()
+            if not self.draining and self._preready_deaths < MAX_PREREADY_DEATHS:
                 self._spawn_worker()
             self._refresh_worker_gauge()
+        if self.out_of_workers and not self.draining:
+            # nothing will ever run the queued jobs: fail their sweeps
+            # and refuse new ones
+            self.scheduler.fail_all(
+                f"no workers left: {self._preready_deaths} worker(s) died "
+                "before becoming ready, so respawning stopped"
+            )
+            self.begin_drain()
+
+    @property
+    def out_of_workers(self) -> bool:
+        """Respawning has stopped after a crash storm and no worker is left."""
+        return self._preready_deaths >= MAX_PREREADY_DEATHS and not self._workers
 
     def _dispatch(self) -> None:
         for handle in self._workers.values():
@@ -360,8 +403,10 @@ class SweepService:
         c.set_value("store_index_misses_total", sc.get("index_misses"))
         stats = self.store.stats()
         c.set_gauge("store_segments", stats.segments)
+        # len() also counts the results workers appended after the shard
+        # indexes were loaded, which stats() cannot see
         c.set_gauge(
-            "store_entries", stats.results + stats.baselines + stats.tables
+            "store_entries", len(self.store) + stats.baselines + stats.tables
         )
         c.set_gauge("store_garbage_ratio", round(stats.garbage_ratio, 6))
 
@@ -375,7 +420,7 @@ class SweepService:
 
     def healthz(self) -> Dict[str, Any]:
         return {
-            "status": "ok",
+            "status": "no-workers" if self.out_of_workers else "ok",
             "draining": self.draining,
             "workers": {
                 "alive": self.workers_alive(),
@@ -422,7 +467,7 @@ class SweepService:
             )
         entry, deduped = self.scheduler.submit(spec, priority=priority)
         if not deduped and entry.state == "running":
-            self._events.put(_WAKE)  # queued jobs: dispatch them now
+            self._wake()  # queued jobs: dispatch them now
         return (
             {
                 "id": entry.id,
@@ -434,11 +479,11 @@ class SweepService:
         )
 
 
-def _worker_entry(worker_id, job_queue, event_queue, config) -> None:
+def _worker_entry(worker_id, job_queue, events, config) -> None:
     """Spawn target (module-level so the spawn pickler can import it)."""
     from .worker import worker_main
 
-    worker_main(worker_id, job_queue, event_queue, config)
+    worker_main(worker_id, job_queue, events, config)
 
 
 # --------------------------------------------------------------------- #

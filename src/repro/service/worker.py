@@ -13,8 +13,9 @@ state).  The protocol is deliberately tiny:
 * the worker executes each job through a long-lived
   :class:`~repro.api.session.Session` bound to the *shared* result store
   (advisory-locked appends; trials already on disk are served as hits) and
-  pushes ``("done", worker id, job key, [result dicts], hits, misses)``
-  onto the shared event queue;
+  sends ``("done", worker id, job key, [result dicts], hits, misses)``
+  down its private event pipe (no lock shared with other workers, so a
+  worker killed mid-send cannot stall the rest);
 * execution errors are reported as ``("error", ...)`` with a traceback —
   the scheduler fails the sweep, because scenario execution is
   deterministic and a retry would raise identically.
@@ -50,7 +51,7 @@ def _build_session(config: Dict[str, Any]):
 def worker_main(
     worker_id: str,
     job_queue,
-    event_queue,
+    events,
     config: Dict[str, Any],
 ) -> None:
     """Run the worker loop until the ``None`` sentinel arrives.
@@ -61,7 +62,7 @@ def worker_main(
     from ..api.sweeps import SweepSpec, execute_units
 
     session = _build_session(config)
-    event_queue.put(("ready", worker_id))
+    events.send(("ready", worker_id))
 
     # Sweep expansion is deterministic but not free; cache the expanded
     # grid per sweep hash so a sweep's later jobs skip re-expansion.
@@ -89,7 +90,7 @@ def worker_main(
             specs = [sweep.trial_spec(points[p], t) for p, t in units]
             hits0, misses0 = session.hits, session.misses
             results = execute_units(session, units, specs)
-            event_queue.put(
+            events.send(
                 (
                     "done",
                     worker_id,
@@ -100,6 +101,6 @@ def worker_main(
                 )
             )
         except Exception:
-            event_queue.put(
+            events.send(
                 ("error", worker_id, job_key, traceback.format_exc(limit=20))
             )

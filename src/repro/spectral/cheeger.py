@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import InvalidGraphError
 from ..graphs.graph import Graph
-from .eigen import fiedler_vector
+from .eigen import SpectralInfo, fiedler_vector
 
 __all__ = ["CheegerBounds", "cheeger_bounds"]
 
@@ -47,12 +48,15 @@ class CheegerBounds:
         )
 
 
-def cheeger_bounds(graph: Graph) -> CheegerBounds:
-    """Compute :class:`CheegerBounds` for a connected graph with ≥ 1 edge."""
+def cheeger_bounds(graph: Graph, info: Optional[SpectralInfo] = None) -> CheegerBounds:
+    """Compute :class:`CheegerBounds` for a connected graph with ≥ 1 edge.
+
+    ``info`` is the graph's :func:`fiedler_vector`, for callers that have
+    already solved it; otherwise it is solved here.
+    """
     if graph.m == 0:
         raise InvalidGraphError("cheeger bounds need at least one edge")
-    info = fiedler_vector(graph)
-    lam = info.lambda2
+    lam = (info if info is not None else fiedler_vector(graph)).lambda2
     dmin = max(graph.min_degree, 1)
     dmax = max(graph.max_degree, 1)
     phi_lo = lam / 2.0

@@ -1,7 +1,8 @@
 """Matrix views of graphs: adjacency, Laplacian, normalised Laplacian.
 
 All builders return ``scipy.sparse.csr_matrix`` sharing no state with the
-graph.  The normalised Laplacian handles isolated nodes by treating their
+graph; ``adjacency_matrix`` is :func:`repro.graphs.build.to_scipy_sparse`
+under its spectral name.  The normalised Laplacian handles isolated nodes by treating their
 degree as 1 (their row/column is then just the identity entry), which keeps
 eigensolvers well-posed on faulty graphs that contain isolated survivors.
 """
@@ -11,17 +12,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..graphs.build import to_scipy_sparse as adjacency_matrix
 from ..graphs.graph import Graph
 
 __all__ = ["adjacency_matrix", "laplacian_matrix", "normalized_laplacian"]
-
-
-def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
-    """Unweighted adjacency matrix ``A`` (float64)."""
-    data = np.ones(graph.indices.shape[0], dtype=np.float64)
-    return sp.csr_matrix(
-        (data, graph.indices.copy(), graph.indptr.copy()), shape=(graph.n, graph.n)
-    )
 
 
 def laplacian_matrix(graph: Graph) -> sp.csr_matrix:

@@ -203,6 +203,10 @@ class StorageEngine:
     def count(self, kind: str) -> int:
         return sum(len(s) for s in self._shards[kind])
 
+    def loads(self, kind: str) -> int:
+        """Index (re)loads of ``kind``'s shards so far (grows on every reload)."""
+        return sum(s.loads for s in self._shards[kind])
+
     def locate(self, kind: str, key: str) -> Optional[Tuple[Path, IndexEntry]]:
         """(segment path, index entry) for a live key — test/debug helper."""
         shard = self.shard_for(kind, key)

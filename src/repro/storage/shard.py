@@ -106,6 +106,8 @@ class Shard:
         self._corrupt_seen = 0  # corrupt observed since open (incl. healed)
         self._epoch = 0
         self._loaded = False
+        #: How many times the index was (re)built from disk.
+        self.loads = 0
         self._active = 0
         self._active_size = 0
         self._read_fds: Dict[int, int] = {}
@@ -370,6 +372,7 @@ class Shard:
         self._active_size = sizes.get(self._active, 0)
         self._epoch = self._read_epoch()
         self._loaded = True
+        self.loads += 1
 
         try:
             if rebuild:

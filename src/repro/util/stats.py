@@ -12,17 +12,19 @@ executor, so every estimator here is *online*: constant memory, one
   metrics.  The Wilson score interval stays honest at small ``n`` and
   near 0/1 rates, which is exactly where a sweep's adaptive allocator
   needs reliable widths.
-* :func:`normal_ppf` — inverse standard-normal CDF (Acklam's rational
-  approximation, |relative error| < 1.2e-9) so confidence levels translate
-  to z-values without a scipy dependency.
+* :func:`normal_ppf` / :func:`z_value` — the standard-normal quantile,
+  from :class:`statistics.NormalDist`; :func:`t_value` — the Student-t
+  quantile, from ``scipy.special.stdtrit``.
 
-Everything is pure python + math: these run inside tight result-consumer
-loops where a numpy round-trip per observation would dominate.
+The aggregators are pure python + math: they run inside tight
+result-consumer loops where a numpy round-trip per observation would
+dominate.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import List, Optional, Tuple
 
 from ..errors import InvalidParameterError
@@ -41,26 +43,12 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Inverse normal CDF (no scipy)
+# Normal and Student-t quantiles
 # --------------------------------------------------------------------- #
-
-# Acklam's coefficients for the rational approximations of Φ⁻¹.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_PPF_LOW, _PPF_HIGH = 0.02425, 1.0 - 0.02425
 
 
 def normal_ppf(p: float) -> float:
     """Inverse CDF of the standard normal distribution.
-
-    Acklam's rational approximation with one Halley refinement step; the
-    result is accurate to full double precision for ``p`` in (0, 1).
 
     >>> round(normal_ppf(0.975), 4)
     1.96
@@ -71,24 +59,7 @@ def normal_ppf(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise InvalidParameterError(f"normal_ppf needs p in (0, 1), got {p}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < _PPF_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= _PPF_HIGH:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley step against the exact CDF (erfc is in libm).
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return NormalDist().inv_cdf(p)
 
 
 def z_value(confidence: float) -> float:
@@ -106,79 +77,14 @@ def z_value(confidence: float) -> float:
     return normal_ppf(0.5 + confidence / 2.0)
 
 
-# --------------------------------------------------------------------- #
-# Student-t quantile (no scipy)
-# --------------------------------------------------------------------- #
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-30
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            break
-    return h
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularised incomplete beta function ``I_x(a, b)``."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t with ``df`` degrees of freedom."""
-    x = df / (df + t * t)
-    p = 0.5 * _betainc(df / 2.0, 0.5, x)
-    return 1.0 - p if t >= 0 else p
-
-
 def t_value(confidence: float, df: int) -> float:
     """Two-sided Student-t critical value (e.g. ``t_value(0.95, 2)`` ≈ 4.30).
 
     The honest small-sample replacement for :func:`z_value`: the report
     pipeline uses it for the CI half-widths of mean estimates with a
     handful of trials, where the normal approximation is anti-conservative
-    (``t/z`` ≈ 2.2 at 3 observations).  Computed scipy-free by bisecting
-    the t CDF (regularised incomplete beta via a Lentz continued
-    fraction); converges to :func:`z_value` as ``df`` grows.
+    (``t/z`` ≈ 2.2 at 3 observations).  Converges to :func:`z_value` as
+    ``df`` grows.
 
     >>> round(t_value(0.95, 2), 3)
     4.303
@@ -193,21 +99,11 @@ def t_value(confidence: float, df: int) -> float:
         )
     if df < 1:
         raise InvalidParameterError(f"df must be >= 1, got {df}")
-    target = 0.5 + confidence / 2.0
-    lo, hi = 0.0, 2.0
-    while _t_cdf(hi, df) < target:
-        hi *= 2.0
-        if hi > 1e9:  # pragma: no cover - unreachable for valid inputs
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _t_cdf(mid, df) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    # imported here: ``import repro`` loads this module, and scipy.special
+    # would add to every process's start-up time
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.5 + confidence / 2.0))
 
 
 # --------------------------------------------------------------------- #

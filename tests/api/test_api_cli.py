@@ -170,6 +170,23 @@ class TestExperimentPathStillWorks:
         assert main(["e2", "--seed", "1", "--workers", "1"]) == 0
         assert "alpha_times_k" in capsys.readouterr().out
 
+    def test_list_prints_every_experiment_title(self, capsys):
+        from repro.core.experiments import ALL_EXPERIMENTS, EXPERIMENT_META
+
+        assert set(EXPERIMENT_META) == set(ALL_EXPERIMENTS)
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[: len(ALL_EXPERIMENTS)] == [
+            f"{key:>4}  {EXPERIMENT_META[key]['title']}" for key in ALL_EXPERIMENTS
+        ]
+
+    def test_run_header_uses_experiment_title(self, capsys):
+        from repro.core.experiments import EXPERIMENT_META
+
+        assert main(["e2", "--seed", "1"]) == 0
+        title = EXPERIMENT_META["e2"]["title"]
+        assert f"E2 — {title} (" in capsys.readouterr().out
+
 
 @pytest.fixture
 def sweep_dict(scenario_dict):

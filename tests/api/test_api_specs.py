@@ -1,5 +1,6 @@
 """Spec dataclasses: validation, dict/JSON round-trips (incl. property tests)."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,9 @@ from repro.api.specs import (
     AnalysisSpec,
     FaultSpec,
     GraphSpec,
+    RunResult,
     ScenarioSpec,
+    canonical_json,
     spec_hash,
 )
 from repro.errors import SpecError
@@ -102,11 +105,66 @@ class TestHashing:
         b = GraphSpec("torus", {"sides": 9, "d": 2})
         assert spec_hash(a) != spec_hash(b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_specs(), st.one_of(st.none(), st.integers(0, 2**62)))
+    def test_memoised_hash_is_the_content_hash(self, spec, seed):
+        assert spec.hash() == spec_hash(spec)
+        assert spec.graph.key() == spec_hash(spec.graph)
+        reseeded = spec.with_seed(seed)
+        assert reseeded.hash() == spec_hash(reseeded)
+
     def test_with_seed_changes_hash_not_graph_key(self):
         spec = ScenarioSpec(graph=GraphSpec("torus", {"sides": 8, "d": 2}), seed=1)
         other = spec.with_seed(2)
         assert spec.hash() != other.hash()
         assert spec.graph.key() == other.graph.key()
+
+
+@st.composite
+def run_results(draw):
+    spec = draw(scenario_specs())
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    nodes = draw(
+        st.one_of(
+            st.lists(st.integers(0, 2**16 + 10), unique=True).map(sorted),
+            st.lists(st.integers(-5, 2**20), max_size=20),
+        )
+    )
+    return RunResult(
+        spec=spec,
+        spec_hash=spec.hash(),
+        seed=spec.seed,
+        label=spec.label,
+        graph_name=draw(st.text(max_size=8)),
+        n_original=draw(st.integers(0, 2**20)),
+        mode=spec.analysis.mode,
+        fault_kind=draw(st.text(max_size=8)),
+        f=draw(st.integers(0, 2**20)),
+        fault_fraction=draw(floats),
+        faulty_components=draw(st.integers(0, 99)),
+        largest_faulty_component=draw(st.integers(0, 99)),
+        n_surviving=len(nodes),
+        surviving_fraction=draw(floats),
+        n_culled_sets=draw(st.integers(0, 9)),
+        prune_iterations=draw(st.integers(0, 9)),
+        baseline_expansion=draw(floats),
+        baseline_exact=draw(st.booleans()),
+        surviving_expansion=draw(st.one_of(st.none(), floats)),
+        expansion_retention=draw(st.one_of(st.none(), floats)),
+        surviving_nodes=tuple(nodes),
+        epsilon=draw(floats),
+        timings={"analyze": draw(floats)},
+    )
+
+
+class TestFingerprint:
+    @settings(max_examples=150, deadline=None)
+    @given(run_results())
+    def test_fingerprint_hashes_the_canonical_record_without_timings(self, result):
+        record = result.to_dict()
+        del record["timings"]
+        expected = hashlib.sha256(canonical_json(record).encode()).hexdigest()[:16]
+        assert result.fingerprint() == expected
 
 
 class TestValidation:

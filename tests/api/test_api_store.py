@@ -260,6 +260,43 @@ class TestMaintenance:
         assert store.get_baseline(baseline_key(spec)) is not None
 
 
+class TestRememberedCount:
+    """``len()`` of a store whose overlay holds results other processes
+    appended (the service's view of its workers' writes)."""
+
+    def test_len_counts_remembered_results_once(self, store):
+        store.put_result(run(torus_spec(seed=1)))
+        worker = ResultStore(store.path)
+        shipped = [run(torus_spec(seed=s)) for s in (2, 3)]
+        for result in shipped:
+            worker.put_result(result)
+            store.remember(result)
+            store.remember(result)
+        assert len(store) == 3
+
+    def test_len_stays_exact_after_another_process_compacts(self, store):
+        indexed = run(torus_spec(seed=1))
+        store.put_result(indexed)
+        shard = store.engine.shard_for("results", indexed.spec.hash())
+        # worker results, one of them in the indexed result's shard, so
+        # the reload below brings it into the server's index
+        shipped, seed = [], 2
+        while not any(
+            store.engine.shard_for("results", r.spec.hash()) is shard for r in shipped
+        ):
+            shipped.append(run(torus_spec(seed=seed)))
+            seed += 1
+        worker = ResultStore(store.path)
+        for result in shipped:
+            worker.put_result(result)
+            store.remember(result)
+        assert len(store) == 1 + len(shipped)
+
+        ResultStore(store.path).prune()  # e.g. `cache prune` on the live store
+        assert store.get_result(indexed.spec) == indexed  # epoch moved: reload
+        assert len(store) == 1 + len(shipped) == len(ResultStore(store.path))
+
+
 class TestCrossProcessStability:
     def test_fingerprint_stable_across_processes(self, store):
         """A stored result's fingerprint equals a fresh computation's in a

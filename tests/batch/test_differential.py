@@ -45,7 +45,7 @@ from repro.graphs.traversal import (
     batched_component_stats,
     batched_connected_components,
     component_summary,
-    connected_components,
+    connected_components_unionfind,
 )
 from repro.percolation.bonds import bond_percolation
 from repro.percolation.sites import site_percolation
@@ -83,7 +83,7 @@ def test_batched_components_match_scalar_subgraph(g, p, seed, trials):
         # of its component — compare the partitions exactly
         expected = np.full(g.n, -1, dtype=np.int64)
         if survivors.size:
-            sub_labels = connected_components(g.subgraph(survivors))
+            sub_labels = connected_components_unionfind(g.subgraph(survivors))
             for lab in np.unique(sub_labels):
                 members = survivors[sub_labels == lab]
                 expected[members] = members.min()
@@ -91,14 +91,14 @@ def test_batched_components_match_scalar_subgraph(g, p, seed, trials):
 
 
 def _canonical_labels(g, alive, edge_alive=None):
-    """Scalar reference labels of one trial: BFS components of the induced
-    survivor subgraph (minus dead edges), each alive node labelled with the
-    smallest node id of its component, dead nodes -1."""
+    """Scalar reference labels of one trial: union-find components of the
+    induced survivor subgraph (minus dead edges), each alive node labelled
+    with the smallest node id of its component, dead nodes -1."""
     edges = g.edge_array()
     keep = alive[edges[:, 0]] & alive[edges[:, 1]]
     if edge_alive is not None:
         keep &= edge_alive
-    labels = connected_components(Graph.from_edges(g.n, edges[keep]))
+    labels = connected_components_unionfind(Graph.from_edges(g.n, edges[keep]))
     smallest = np.full(g.n, g.n, dtype=np.int64)
     np.minimum.at(smallest, labels, np.arange(g.n))
     return np.where(alive, smallest[labels], -1)
@@ -106,7 +106,7 @@ def _canonical_labels(g, alive, edge_alive=None):
 
 def test_batched_components_match_scalar_at_sweep_scale():
     """A sweep-sized stack (12 p × 8 trials on a 32×32 torus) and a bond
-    batch label every row exactly like the scalar BFS of that row."""
+    batch label every row exactly like a union-find over that row."""
     g = torus(sides=32, d=2)
     rng = np.random.default_rng(2024)
     ps = np.linspace(0.05, 0.65, 12)

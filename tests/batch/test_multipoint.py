@@ -5,8 +5,8 @@ the component kernel is row-independent, so every record must be
 bit-identical to the per-point ``run_trials`` path — same aggregates,
 same samples, same sweep fingerprints.  These tests pin that at every
 layer the stacking touches: the engine, ``Session.run_points_batched``,
-``execute_units``'s stacking dispatch, the threshold probe ladder, and
-the scheduler's point-merging jobs.
+``execute_units``'s stacking dispatch, threshold bisection, and the
+scheduler's point-merging jobs.
 """
 
 from __future__ import annotations
@@ -142,47 +142,24 @@ def test_sweep_fingerprint_identical_across_batch_modes():
 
 
 # --------------------------------------------------------------------- #
-# threshold probe ladder
+# threshold bisection
 # --------------------------------------------------------------------- #
 
 
-def test_ladder_one_matches_legacy_bisection(monkeypatch):
+def test_bisection_matches_scalar_percolation_loop(monkeypatch):
     g = mesh([12, 12])
     default = estimate_critical_probability(
-        g, mode="site", n_trials=6, tol=0.05, seed=3, ladder=1
+        g, mode="site", n_trials=6, tol=0.05, seed=3
     )
-    # the legacy bracket: the same bisection with every probe's trials
-    # run as the scalar per-trial loop
+    # the same bisection with every probe's trials run as the scalar
+    # per-trial loop
     monkeypatch.setattr(threshold, "site_percolation", scalar_site_percolation)
-    legacy = estimate_critical_probability(
+    scalar = estimate_critical_probability(
         g, mode="site", n_trials=6, tol=0.05, seed=3
     )
     assert (default.lo, default.hi, default.n_probes) == (
-        legacy.lo, legacy.hi, legacy.n_probes,
+        scalar.lo, scalar.hi, scalar.n_probes,
     )
-
-
-@pytest.mark.parametrize("mode", ["site", "bond"])
-@pytest.mark.parametrize("ladder", [2, 4, 7])
-def test_ladder_brackets_are_valid_and_deterministic(mode, ladder):
-    g = mesh([10, 10])
-    est = estimate_critical_probability(
-        g, mode=mode, n_trials=6, tol=0.03, seed=17, ladder=ladder
-    )
-    assert 0.0 <= est.lo < est.hi <= 1.0
-    assert est.width <= 0.03 or est.n_probes >= 30
-    again = estimate_critical_probability(
-        g, mode=mode, n_trials=6, tol=0.03, seed=17, ladder=ladder
-    )
-    assert (again.lo, again.hi, again.n_probes) == (est.lo, est.hi, est.n_probes)
-
-
-def test_ladder_agrees_with_bisection_within_resolution():
-    g = mesh([14, 14])
-    a = estimate_critical_probability(g, n_trials=12, tol=0.02, seed=5)
-    b = estimate_critical_probability(g, n_trials=12, tol=0.02, seed=5, ladder=6)
-    # independent Monte-Carlo schedules: brackets must land near each other
-    assert abs(a.midpoint - b.midpoint) <= 3 * (a.width + b.width)
 
 
 # --------------------------------------------------------------------- #

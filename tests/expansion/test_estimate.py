@@ -55,6 +55,26 @@ class TestEstimateNode:
                               witness=np.array([0]), exact=False, method="x")
 
 
+@pytest.mark.parametrize(
+    "estimate", [estimate_node_expansion, estimate_edge_expansion]
+)
+def test_estimate_solves_the_laplacian_once(monkeypatch, estimate):
+    """The sweep order and the Cheeger bound share one eigensolve."""
+    from repro.spectral import eigen
+
+    solves = []
+    dense = eigen._dense_fiedler
+
+    def counted(lap):
+        solves.append(lap.shape)
+        return dense(lap)
+
+    monkeypatch.setattr(eigen, "_dense_fiedler", counted)
+    est = estimate(torus(8, 2))
+    assert not est.exact
+    assert len(solves) == 1
+
+
 class TestEstimateEdge:
     def test_small_graph_exact(self):
         g = cycle_graph(12)

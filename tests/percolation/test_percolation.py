@@ -112,14 +112,11 @@ class TestThresholdEstimate:
             estimate_critical_probability(small_torus, gamma_target=0.0)
 
     def test_bisection_stops_at_the_probe_cap(self):
-        # tol=0 never converges: bisection must stop at the 30-probe cap
-        # the ladder honours, not one probe past it
+        # tol=0 never converges: bisection must stop at the 30-probe cap,
+        # not one probe past it
         g = mesh([4, 4])
         bisect = estimate_critical_probability(g, tol=0.0, n_trials=2, seed=1)
-        ladder = estimate_critical_probability(
-            g, tol=0.0, n_trials=2, seed=1, ladder=3
-        )
-        assert bisect.n_probes == ladder.n_probes == 30
+        assert bisect.n_probes == 30
 
     @pytest.mark.parametrize(
         "q_lo, q_hi", [(0.9, 0.1), (0.5, 0.5), (-0.1, 1.0), (0.0, 1.5)]

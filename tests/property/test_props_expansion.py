@@ -8,14 +8,19 @@ from repro.expansion.estimate import estimate_node_expansion
 from repro.expansion.exact import edge_expansion_exact, node_expansion_exact
 from repro.expansion.local import refine_cut
 from repro.expansion.sweep import best_edge_sweep_cut, best_node_sweep_cut
-from repro.graphs.ops import node_expansion_of_set
+from repro.graphs.ops import (
+    edge_boundary_count,
+    node_boundary,
+    node_boundary_size,
+    node_expansion_of_set,
+)
 from repro.graphs.traversal import is_connected
 from repro.pruning.compact import compactify, is_compact
 from repro.pruning.cutfinder import ExhaustiveCutFinder
 from repro.pruning.prune import prune
 from repro.pruning.certificates import verify_culls
 
-from .strategies import connected_graphs, graph_with_subset
+from .strategies import connected_graphs, graph_with_subset, graphs
 
 
 @settings(max_examples=40, deadline=None)
@@ -56,6 +61,59 @@ def test_refine_never_worse(gs):
     before = node_expansion_of_set(g, subset)
     refined = refine_cut(g, subset, "node")
     assert node_expansion_of_set(g, refined) <= before + 1e-12
+
+
+def _refine_by_rescoring(g, seed, kind, budget):
+    """``refine_cut``'s greedy pass spelled out: every candidate move
+    re-scores the whole set from scratch."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[seed] = True
+
+    def ratio():
+        size = int(mask.sum())
+        if size == 0 or size > g.n // 2:
+            return float("inf")
+        if kind == "node":
+            return node_boundary_size(g, mask) / size
+        return edge_boundary_count(g, mask) / min(size, g.n - size)
+
+    best, moves, improved = ratio(), 0, True
+    while improved and moves < budget:
+        improved = False
+        candidates = [(v, True) for v in node_boundary(g, mask).tolist()]
+        candidates += [(v, False) for v in node_boundary(g, ~mask).tolist()]
+        for v, add in candidates:
+            if moves >= budget:
+                break
+            mask[v] = add
+            value = ratio()
+            if value < best:
+                best, moves, improved = value, moves + 1, True
+            else:
+                mask[v] = not add
+    return np.flatnonzero(mask)
+
+
+@st.composite
+def _refine_inputs(draw):
+    g = draw(graphs(min_nodes=2, max_nodes=14, max_extra_edges=25))
+    seed = draw(
+        st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True)
+    )
+    kind = draw(st.sampled_from(["node", "edge"]))
+    budget = draw(st.one_of(st.none(), st.integers(0, 6)))
+    return g, np.array(seed, dtype=np.int64), kind, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(_refine_inputs())
+def test_refine_matches_rescoring_every_move(inputs):
+    """The incremental boundary counts pick exactly the moves a full
+    re-score would (any graph, seed size, kind and move budget)."""
+    g, seed, kind, budget = inputs
+    full = 2 * g.n if budget is None else budget
+    expected = _refine_by_rescoring(g, seed, kind, full)
+    assert refine_cut(g, seed, kind, max_moves=budget).tolist() == expected.tolist()
 
 
 @settings(max_examples=30, deadline=None)

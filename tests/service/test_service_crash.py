@@ -7,6 +7,11 @@ from worker identity or attempt count — the recovered sweep cannot be
 told apart from an undisturbed one.
 """
 
+import itertools
+import multiprocessing
+import os
+import struct
+import threading
 import time
 
 import pytest
@@ -15,6 +20,8 @@ from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.api.sweeps import run_sweep
 from repro.service import ServiceClient, ServiceConfig, SweepService
+from repro.service import server
+from repro.service.scheduler import SchedulerError
 from repro.service.server import _WorkerHandle
 
 
@@ -69,12 +76,14 @@ class _StubProcess:
 
     def __init__(self):
         self.terminated = False
+        self.exitcode = None
 
     def is_alive(self):
         return not self.terminated
 
     def terminate(self):
         self.terminated = True
+        self.exitcode = -15
 
     def join(self, timeout=None):
         pass
@@ -130,3 +139,127 @@ class TestJobTimeoutClock:
         assert process.terminated
         assert service.counters.get("workers_crashed_total") == 1
         assert service.counters.get("jobs_requeued_total") == 1
+
+
+class TestCrashStorm:
+    """Regression: after five workers died before ``ready`` the service
+    stopped respawning, yet with no worker left the queued jobs never
+    dispatched, the sweep stayed ``running`` and ``/healthz`` said ok."""
+
+    def test_no_worker_left_fails_running_sweeps_and_drains(
+        self, sweep, make_sweep, tmp_path, monkeypatch
+    ):
+        service = SweepService(ServiceConfig(store=str(tmp_path / "svc")))
+        seq = itertools.count()
+
+        def spawn_dead_worker():
+            handle = _WorkerHandle(
+                id=f"w{next(seq)}", process=_StubProcess(), queue=_StubQueue()
+            )
+            handle.process.terminate()  # dies before its ready event
+            service._workers[handle.id] = handle
+            return handle
+
+        monkeypatch.setattr(service, "_spawn_worker", spawn_dead_worker)
+        for _ in range(service.config.workers):
+            service._spawn_worker()
+        entry, _ = service.scheduler.submit(sweep)
+        assert entry.state == "running"
+        for _ in range(5):
+            service._check_liveness()
+
+        assert service.counters.get("workers_crashed_total") == 6
+        assert not service._workers
+        assert entry.state == "failed"
+        assert "no workers left" in entry.error
+        assert service.healthz()["status"] == "no-workers"
+        assert service.draining
+        with pytest.raises(SchedulerError):
+            service.submit(make_sweep(label="after-storm").to_dict())
+
+
+class TestEventPipes:
+    """Regression: every worker wrote to one shared event queue.  A worker
+    SIGKILLed while it held that queue's write lock (its ``ready`` event
+    just sent, the lock not yet released) never released it, so every
+    other worker blocked on its next event and the sweep stayed
+    ``running``.  Each worker now has its own event pipe."""
+
+    @pytest.fixture
+    def looping(self, tmp_path, monkeypatch):
+        """A never-started service whose two stub workers talk over real
+        event pipes, with its loop running in a thread and liveness
+        checks a minute apart: only pipe traffic can make it dispatch."""
+        monkeypatch.setattr(server, "LIVENESS_PERIOD", 60.0)
+        service = SweepService(ServiceConfig(store=str(tmp_path / "svc")))
+        writers = {}
+        for worker_id in ("w0", "w1"):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            service._workers[worker_id] = _WorkerHandle(
+                id=worker_id,
+                process=_StubProcess(),
+                queue=_StubQueue(),
+                events=reader,
+            )
+            writers[worker_id] = writer
+        loop = threading.Thread(target=service._loop, daemon=True)
+        loop.start()
+        yield service, writers
+        service._stop_loop.set()
+        service._wake()
+        loop.join(timeout=5.0)
+        assert not loop.is_alive()
+
+    @staticmethod
+    def _until(condition, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while not condition():
+            assert time.monotonic() < deadline, "the service loop never acted"
+            time.sleep(0.005)
+
+    def test_event_on_a_worker_pipe_wakes_the_loop(self, looping, sweep):
+        service, writers = looping
+        service.scheduler.submit(sweep)
+        writers["w0"].send(("ready", "w0"))
+        w0 = service._workers["w0"]
+        self._until(lambda: w0.job_key is not None)
+        assert w0.ready and w0.queue.messages
+
+    def test_submit_wakes_the_loop(self, looping, sweep):
+        service, writers = looping
+        writers["w0"].send(("ready", "w0"))
+        w0 = service._workers["w0"]
+        self._until(lambda: w0.ready)
+        service.submit(sweep.to_dict())
+        self._until(lambda: w0.job_key is not None)
+
+    def test_worker_killed_mid_message_does_not_silence_the_others(
+        self, looping, sweep
+    ):
+        service, writers = looping
+        service.scheduler.submit(sweep)
+        # w0 dies part-way through a message: the length header promises
+        # more bytes than ever arrive
+        os.write(writers["w0"].fileno(), struct.pack("!i", 1024) + b"partial")
+        writers["w0"].close()
+        writers["w1"].send(("ready", "w1"))
+        w0, w1 = service._workers["w0"], service._workers["w1"]
+        self._until(lambda: w1.job_key is not None)
+        self._until(lambda: w0.events is None)
+        assert not w0.ready and w0.job_key is None
+
+    def test_liveness_check_closes_a_dead_workers_pipe(
+        self, tmp_path, monkeypatch
+    ):
+        service = SweepService(ServiceConfig(store=str(tmp_path / "svc")))
+        monkeypatch.setattr(service, "_spawn_worker", lambda: None)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        handle = _WorkerHandle(
+            id="w0", process=_StubProcess(), queue=_StubQueue(), events=reader
+        )
+        service._workers[handle.id] = handle
+        handle.process.terminate()
+        service._check_liveness()
+        assert "w0" not in service._workers
+        assert reader.closed
+        writer.close()

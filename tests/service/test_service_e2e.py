@@ -130,6 +130,19 @@ class TestEndpoints:
             assert status["service"]["trials_total"] == 6
             assert status["point_stats"][0]["completed"] == 3
 
+    def test_store_entries_count_worker_appends(self, sweep, tmp_path):
+        """Regression: the gauge read only the server's shard indexes,
+        which never see what the workers append, so it stayed 0."""
+        with SweepService(_config(tmp_path / "svc")) as service:
+            client = ServiceClient(service.url)
+            sweep_id = client.submit(sweep)["id"]
+            client.watch(sweep_id, interval=0.05)
+            trials = sweep.trials * len(sweep.points())
+            service.sync_store_metrics()
+            assert service.counters.get("store_entries") >= trials
+            status = client.status(sweep_id)
+            assert status["service"]["store_entries"] >= trials
+
     def test_cancel_endpoint(self, make_sweep, tmp_path):
         spec = make_sweep(sides=32, trials=20, label="cancel-e2e")
         with SweepService(_config(tmp_path / "svc")) as service:

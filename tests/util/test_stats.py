@@ -1,6 +1,10 @@
-"""Online aggregators: Welford vs numpy, CIs, normal_ppf, curve fits."""
+"""Online aggregators: Welford vs numpy, CIs, quantiles, curve fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from repro.util.stats import (
     logistic_slope,
     logistic_value,
     normal_ppf,
+    t_value,
     wilson_interval,
     z_value,
 )
@@ -51,6 +56,37 @@ class TestNormalPpf:
         assert z_value(0.95) == pytest.approx(1.959963984540054, abs=1e-9)
         with pytest.raises(InvalidParameterError):
             z_value(1.0)
+
+
+class TestTValue:
+    @pytest.mark.parametrize(
+        "confidence,df,expected",
+        [(0.95, 1, 12.7062), (0.95, 5, 2.5706), (0.90, 10, 1.8125), (0.99, 30, 2.7500)],
+    )
+    def test_table_values(self, confidence, df, expected):
+        assert t_value(confidence, df) == pytest.approx(expected, abs=1e-4)
+
+    @pytest.mark.parametrize("confidence,df", [(0.0, 3), (1.0, 3), (0.95, 0)])
+    def test_rejects_bad_arguments(self, confidence, df):
+        with pytest.raises(InvalidParameterError):
+            t_value(confidence, df)
+
+
+def test_import_repro_does_not_load_scipy_special():
+    """``t_value`` imports scipy.special itself, so start-up does not pay
+    for it."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = "import sys, repro; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestOnlineStats:
