@@ -22,9 +22,11 @@ Three consequences fall out:
 
 * **warm batches short-circuit** — a fully cached batch performs zero
   engine calls, including the baseline phase;
-* **interrupted sweeps resume** — every completed scenario is appended to
-  the store the moment it finishes, before it is returned or yielded, so a
-  crashed or killed sweep restarts from whatever already landed on disk;
+* **interrupted sweeps resume** — each computed batch (a stacked sweep's
+  whole stack, or one streamed result) is appended to the store in one
+  call the moment it finishes, before any of it is returned or yielded,
+  so a crashed or killed sweep restarts from whatever already landed on
+  disk;
 * **parallelism is invisible** — ``workers=1`` and ``workers=N`` produce
   identical fingerprints, cached or fresh.
 
@@ -62,9 +64,11 @@ from . import engine as _engine
 __all__ = ["Session"]
 
 #: How a serve call computes its misses: ``(missing specs, their input
-#: positions) -> (index into missing, result)`` pairs, in any order.
+#: positions) ->`` batches of ``(index into missing, result)`` pairs, in
+#: any order.  Each batch is stored with one append before any of it is
+#: yielded.
 _Compute = Callable[
-    [List[ScenarioSpec], List[int]], Iterable[Tuple[int, RunResult]]
+    [List[ScenarioSpec], List[int]], Iterable[List[Tuple[int, RunResult]]]
 ]
 
 
@@ -145,10 +149,6 @@ class Session:
             return None
         return self.store.get_result(spec)
 
-    def _record(self, result: RunResult) -> None:
-        if self.store is not None:
-            self.store.put_result(result)
-
     def _ensure_baselines(self, specs: List[ScenarioSpec]) -> None:
         """Resolve the fault-free estimate for every unique baseline key in
         ``specs``: memory cache, then store, then one computation per key
@@ -182,9 +182,10 @@ class Session:
         each as soon as it and all its predecessors are available: the
         cached prefix first, then — after resolving the misses' baselines
         — ``compute(missing, slots)`` runs on the missing specs and their
-        input positions, yielding ``(index into missing, result)`` pairs in
-        any order.  Each computed result is appended to the store the
-        moment it arrives, before it is yielded.
+        input positions, yielding batches of ``(index into missing,
+        result)`` pairs in any order.  Each batch is appended to the store
+        with one :meth:`ResultStore.put_results` call the moment it
+        arrives, before any of it is yielded.
         """
         spec_list = _validate_specs(specs)
         results = [self.lookup(spec) for spec in spec_list]
@@ -201,9 +202,11 @@ class Session:
             if not missing:
                 return
             self._ensure_baselines(missing)
-            for k, result in compute(missing, slots):
-                self._record(result)
-                results[slots[k]] = result
+            for batch in compute(missing, slots):
+                if self.store is not None:
+                    self.store.put_results(result for _, result in batch)
+                for k, result in batch:
+                    results[slots[k]] = result
                 while i < len(results) and results[i] is not None:
                     yield results[i]
                     i += 1
@@ -234,9 +237,12 @@ class Session:
         """
         return self._serve(
             specs,
-            lambda missing, _slots: self.executor.imap(
-                _engine._run_task,
-                [(spec, self._baselines[baseline_key(spec)]) for spec in missing],
+            lambda missing, _slots: (
+                [pair]
+                for pair in self.executor.imap(
+                    _engine._run_task,
+                    [(spec, self._baselines[baseline_key(spec)]) for spec in missing],
+                )
             ),
         )
 
@@ -268,7 +274,7 @@ class Session:
 
         def stacked(
             missing: List[ScenarioSpec], slots: List[int]
-        ) -> Iterator[Tuple[int, RunResult]]:
+        ) -> List[List[Tuple[int, RunResult]]]:
             # slots ascend and groups are contiguous, so each group's
             # misses form one run and the stacked output keeps their order
             runs = [
@@ -280,7 +286,7 @@ class Session:
             computed = _batch_engine.run_points(
                 runs, baseline=self._baselines[baseline_key(missing[0])]
             )
-            return enumerate(result for run in computed for result in run)
+            return [list(enumerate(result for run in computed for result in run))]
 
         flat = iter(list(self._serve(itertools.chain(*group_lists), stacked)))
         return [list(itertools.islice(flat, len(g))) for g in group_lists]

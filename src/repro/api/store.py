@@ -12,7 +12,10 @@ record.  Three record kinds are stored:
   by the scenario's content hash (:meth:`ScenarioSpec.hash`, which covers
   graph + fault + analysis + seed).  The determinism contract — identical
   ``(spec, seed)`` ⇒ identical result — is what makes the key sound: a hit
-  can be substituted for execution byte-for-byte.
+  can be substituted for execution byte-for-byte.  Each line is spliced
+  from the result's canonical text, the one its fingerprint hashes, so a
+  result is serialised once on the way in (:func:`_result_line`); the
+  line is byte-identical to the JSON encoding of the record dict.
 * ``baselines`` — fault-free :class:`ExpansionEstimate`s keyed by
   ``(GraphSpec.key(), mode, exact_threshold)``, so a warm store skips even
   the baseline phase of a batch.
@@ -32,7 +35,9 @@ Robustness properties (unchanged from the single-file store):
 * **Multi-process write safety.**  Every append runs under an advisory
   :class:`~repro.util.locking.FileLock` — now one lock *per shard*, so
   service workers appending different keys no longer contend.
-  ``fsync=True`` forces each append to disk before returning.
+  :meth:`ResultStore.put_results` takes each shard's lock once per call
+  however many records land there; ``fsync=True`` syncs each shard's
+  batch to disk before the call returns.
 * **Corrupt-entry tolerance.**  Unparseable lines are counted and skipped,
   never fatal.  Result entries additionally store the
   :meth:`RunResult.fingerprint`; verification is *lazy* — an entry whose
@@ -65,7 +70,7 @@ import numpy as np
 from ..expansion.estimate import ExpansionEstimate
 from ..storage import StorageEngine
 from ..util.locking import FileLock
-from .specs import RunResult, ScenarioSpec
+from .specs import RunResult, ScenarioSpec, canonical_json
 
 __all__ = ["BaselineKey", "ResultStore", "StoreStats", "baseline_key"]
 
@@ -81,6 +86,27 @@ def baseline_key(spec: ScenarioSpec) -> BaselineKey:
 
 def _baseline_key_str(key: BaselineKey) -> str:
     return f"{key[0]}:{key[1]}:{key[2]}"
+
+
+def _result_line(result: RunResult) -> bytes:
+    """The results line of ``result``, spliced from its canonical text.
+
+    Byte-identical to ``StorageEngine.encode`` of the record dict
+    ``{"key": spec hash, "seed", "label", "fingerprint", "result":
+    result.to_dict()}``: the top-level keys are written in sorted order,
+    and the ``result`` value is the fingerprint's text with ``timings`` —
+    the one field the fingerprint excludes, last in sorted order — put
+    back before its closing brace.  So the record is encoded once, not
+    once for the fingerprint and again for the line.
+    """
+    fingerprint, text = result.fingerprint_and_text()
+    return (
+        f'{{"fingerprint":"{fingerprint}"'
+        f',"key":{canonical_json(result.spec.hash())}'
+        f',"label":{canonical_json(result.label)}'
+        f',"result":{text[:-1]},"timings":{canonical_json(dict(result.timings))}}}'
+        f',"seed":{canonical_json(result.seed)}}}\n'
+    ).encode()
 
 
 def _estimate_to_dict(estimate: ExpansionEstimate) -> Dict[str, Any]:
@@ -251,27 +277,16 @@ class ResultStore:
 
     def put_result(self, result: RunResult) -> None:
         """Append ``result``; it becomes the entry served for its spec."""
-        self.engine.append("results", result.spec.hash(), self._result_record(result))
+        self.put_results([result])
 
     def put_results(self, results: Iterable[RunResult]) -> int:
-        """Bulk append under one lock acquisition per shard; returns the
-        number of records written."""
-        records = [
-            (result.spec.hash(), self._result_record(result))
-            for result in results
-        ]
-        self.engine.append_many("results", records)
+        """Append ``results`` in one engine call — one lock, one epoch
+        read and one pair of file opens per shard they touch — each
+        becoming the entry served for its spec; returns the number of
+        records written."""
+        records = [(result.spec.hash(), result) for result in results]
+        self.engine.append_many("results", records, _result_line)
         return len(records)
-
-    @staticmethod
-    def _result_record(result: RunResult) -> Dict[str, Any]:
-        return {
-            "key": result.spec.hash(),
-            "seed": result.seed,
-            "label": result.label,
-            "fingerprint": result.fingerprint(),
-            "result": result.to_dict(),
-        }
 
     def _decode_result(self, record: Dict[str, Any]) -> Optional[Tuple[str, RunResult]]:
         try:

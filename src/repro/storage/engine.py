@@ -16,7 +16,10 @@ across opens because the counts are persisted in ``engine.json`` the first
 time the store is created.  Records are stored as **raw encoded lines**
 and handed back undecoded; the engine decodes JSON only inside
 :meth:`get_record` (and counts it), which is what keeps warm opens and
-membership checks free of per-record work.
+membership checks free of per-record work.  :meth:`append_many` writes a
+batch grouped by shard — one lock, one epoch read and one pair of file
+opens per shard it touches — and encodes each shard's lines only when
+that shard's turn comes.
 
 The store is a cache, not data of record: files of any other layout in
 the store directory (such as the single-file ``results.jsonl`` of early
@@ -29,7 +32,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..util.locking import FileLock
 from .counters import StorageCounters
@@ -48,6 +51,12 @@ _META_FILE = "engine.json"
 #: garbage *and* has enough lines for the rewrite to be worth a lock hold.
 AUTO_COMPACT_GARBAGE = 0.6
 AUTO_COMPACT_MIN_LINES = 512
+
+
+def _placement(key: str, n_shards: int) -> int:
+    """The shard index of ``key``: ``sha256(key)`` modulo the shard count."""
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % n_shards
 
 
 class StorageEngine:
@@ -113,8 +122,7 @@ class StorageEngine:
 
     def shard_for(self, kind: str, key: str) -> Shard:
         shards = self._shards[kind]
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return shards[int.from_bytes(digest[:4], "big") % len(shards)]
+        return shards[_placement(key, len(shards))]
 
     def shards(self, kind: str) -> List[Shard]:
         return self._shards[kind]
@@ -138,17 +146,28 @@ class StorageEngine:
         self._compact_if_garbage(kind, shard)
         return superseded
 
-    def append_many(self, kind: str, records: List[Tuple[str, dict]]) -> int:
-        """Batch append grouped by shard; returns superseded count."""
-        batches: Dict[int, List[Tuple[str, bytes]]] = {}
+    def append_many(
+        self,
+        kind: str,
+        records: Iterable[Tuple[str, Any]],
+        encode: Callable[[Any], bytes],
+    ) -> int:
+        """Append ``(key, record)`` pairs grouped by shard, in input order
+        within each shard; returns the superseded count.
+
+        Each shard costs one lock, one epoch read and one pair of file
+        opens however many records land in it.  ``encode`` turns a record
+        into its line inside the per-shard loop, so only one shard's lines
+        are ever held at once.
+        """
         shards = self._shards[kind]
+        batches: Dict[int, List[Tuple[str, Any]]] = {}
         for key, record in records:
-            digest = hashlib.sha256(key.encode("utf-8")).digest()
-            idx = int.from_bytes(digest[:4], "big") % len(shards)
-            batches.setdefault(idx, []).append((key, self.encode(record)))
+            batches.setdefault(_placement(key, len(shards)), []).append((key, record))
         superseded = 0
         for idx, items in batches.items():
-            superseded += sum(shards[idx].append_many(items))
+            lines = ((key, encode(record)) for key, record in items)
+            superseded += sum(shards[idx].append_many(lines))
             self._compact_if_garbage(kind, shards[idx])
         return superseded
 

@@ -160,13 +160,14 @@ class UnionFind:
     def labels(self) -> np.ndarray:
         """Return an ``int64`` array mapping each element to a canonical
         component label in ``0..n_sets-1`` (labels are dense and ordered by
-        first appearance)."""
+        first appearance, i.e. by each set's smallest member)."""
         n = len(self)
         roots = np.empty(n, dtype=np.int64)
         for i in range(n):
             roots[i] = self.find(i)
-        _, labels = np.unique(roots, return_inverse=True)
-        return labels.astype(np.int64)
+        # np.unique numbers the roots by root id; renumber by first element
+        _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+        return np.argsort(np.argsort(first))[inverse].astype(np.int64)
 
     def component_sizes(self) -> np.ndarray:
         """Sizes of all current sets, in canonical label order."""

@@ -6,7 +6,9 @@ import repro.api.engine as engine
 from repro.api.session import Session
 from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.store import ResultStore
+from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.errors import SpecError
+from repro.storage.shard import Shard
 
 
 def sweep(n=24, p_values=(0.05, 0.08, 0.1)):
@@ -168,6 +170,65 @@ class TestRunIter:
         session = Session(tmp_path / "s")
         with pytest.raises(SpecError):
             session.run_iter([sweep(1)[0], "nope"])  # no iteration needed
+
+
+class TestWriteGranularity:
+    def test_stack_is_one_append_per_shard(self, tmp_path, monkeypatch):
+        """A stacked sweep's records reach each shard they touch in one
+        append (one lock, epoch read and file-open pair), not one each."""
+        sweep_spec = SweepSpec(
+            base=ScenarioSpec(
+                graph=GraphSpec("torus", {"sides": 8, "d": 2}),
+                fault=FaultSpec("random_node", {"p": 0.1}),
+                analysis=AnalysisSpec(pruner=None, measure_expansion=False),
+            ),
+            axes=(Axis("fault.params.p", (0.1, 0.4)),),
+            trials=4,
+            seed=7,
+            metrics=("gamma",),
+        )
+        store = ResultStore(tmp_path / "s")
+        keys = [
+            sweep_spec.trial_spec(point, t).hash()
+            for point in sweep_spec.points()
+            for t in range(4)
+        ]
+        touched = {store.engine.shard_for("results", k).path for k in keys}
+        assert len(touched) < len(keys)  # some shard takes two records
+        calls = []
+        real = Shard.append_many
+
+        def counting(shard, items):
+            items = list(items)
+            if shard.path.parent.name == "results":
+                calls.append((shard.path, len(items)))
+            return real(shard, items)
+
+        monkeypatch.setattr(Shard, "append_many", counting)
+        result = run_sweep(sweep_spec, session=Session(store))
+        assert sorted(path for path, _ in calls) == sorted(touched)
+        assert sum(n for _, n in calls) == len(keys)
+        assert result.fingerprint() == run_sweep(sweep_spec).fingerprint()
+
+    def test_serve_stores_a_whole_batch_before_its_first_yield(self, tmp_path):
+        specs = sweep(4)
+        results = {spec: engine.run(spec) for spec in specs}
+        computed = []
+
+        def two_batches(missing, _slots):
+            for half in (missing[:2], missing[2:]):
+                computed.append(len(half))
+                yield [(missing.index(spec), results[spec]) for spec in half]
+
+        session = Session(tmp_path / "s")
+        stream = session._serve(specs, two_batches)
+        assert next(stream).seed == 0
+        assert computed == [2]
+        on_disk = ResultStore(tmp_path / "s")
+        assert len(on_disk) == 2
+        assert on_disk.get_result(specs[1]) == results[specs[1]]
+        assert [r.seed for r in stream] == [1, 2, 3]
+        assert len(ResultStore(tmp_path / "s")) == 4
 
 
 class TestResumeAfterPartialWrite:

@@ -1,17 +1,29 @@
 """ResultStore behaviour: round-trips, corruption tolerance, maintenance."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.engine import run
-from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
+from repro.api.specs import (
+    AnalysisSpec,
+    FaultSpec,
+    GraphSpec,
+    RunResult,
+    ScenarioSpec,
+    canonical_json,
+)
 from repro.api.store import ResultStore, baseline_key
 from repro.expansion.estimate import ExpansionEstimate
+from repro.storage import StorageEngine
 
 
 def torus_spec(seed=3, p=0.1):
@@ -64,6 +76,98 @@ class TestResultRoundTrip:
         store.put_result(result)
         store.put_result(result)
         assert store.prune() == {"kept": 1, "dropped": 1}
+
+
+_TRICKY_TEXT = st.sampled_from(['', 'a"b', "back\\slash", "é", "日本", "\u2603\n\t", '"\\"'])
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1.0, float("inf")]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def run_results(draw):
+    """Arbitrary (not engine-made) results stressing the line encoding:
+    tricky labels, out-of-range seeds and node ids, signed zeros."""
+    seed = draw(
+        st.one_of(
+            st.none(),
+            st.integers(-(2**70), 2**70),
+            st.sampled_from([-1, 2**63, 2**64 + 1]),
+        )
+    )
+    label = draw(st.one_of(_TRICKY_TEXT, st.text(max_size=12)))
+    spec = ScenarioSpec(
+        graph=GraphSpec("torus", {"sides": 8, "d": 2}),
+        fault=FaultSpec("random_node", {"p": draw(_FLOATS)}),
+        seed=seed,
+        label=label,
+    )
+    nodes = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.integers(0, 200), max_size=30),  # unsorted, repeats
+            st.lists(st.integers(0, 2**20), max_size=30),  # past _ID_STRINGS
+        )
+    )
+    return RunResult(
+        spec=spec,
+        spec_hash=spec.hash(),
+        seed=seed,
+        label=label,
+        graph_name=draw(_TRICKY_TEXT),
+        n_original=draw(st.integers(0, 2**40)),
+        mode=draw(st.sampled_from(["node", "edge"])),
+        fault_kind=draw(_TRICKY_TEXT),
+        f=draw(st.integers(0, 10**6)),
+        fault_fraction=draw(_FLOATS),
+        faulty_components=draw(st.integers(0, 100)),
+        largest_faulty_component=draw(st.integers(0, 100)),
+        n_surviving=len(nodes),
+        surviving_fraction=draw(_FLOATS),
+        n_culled_sets=draw(st.integers(0, 100)),
+        prune_iterations=draw(st.integers(0, 100)),
+        baseline_expansion=draw(_FLOATS),
+        baseline_exact=draw(st.booleans()),
+        surviving_expansion=draw(st.one_of(st.none(), _FLOATS)),
+        expansion_retention=draw(st.one_of(st.none(), _FLOATS)),
+        surviving_nodes=tuple(nodes),
+        epsilon=draw(_FLOATS),
+        timings=draw(
+            st.dictionaries(st.one_of(_TRICKY_TEXT, st.text(max_size=8)), _FLOATS, max_size=4)
+        ),
+    )
+
+
+class TestResultLineEncoding:
+    @settings(max_examples=150, deadline=None)
+    @given(run_results())
+    def test_line_is_the_record_dict_encoding(self, result):
+        """The store splices each results line from the fingerprint's
+        text; it must equal the encoding of the record dict byte for byte
+        (so fingerprints, store sizes and older stores are unaffected)."""
+        content = result.to_dict()
+        del content["timings"]
+        fingerprint = hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
+        reference = StorageEngine.encode(
+            {
+                "key": result.spec.hash(),
+                "seed": result.seed,
+                "label": result.label,
+                "fingerprint": fingerprint,
+                "result": result.to_dict(),
+            }
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            ResultStore(tmp).put_result(result)
+            store = ResultStore(tmp)
+            seg, entry = store.engine.locate("results", result.spec.hash())
+            with open(seg, "rb") as fh:
+                assert fh.read() == reference
+            assert entry.length == len(reference)
+            cached = store.get_result(result.spec)
+        assert cached == result
+        assert cached.fingerprint() == result.fingerprint() == fingerprint
 
 
 class TestOlderLayout:

@@ -59,9 +59,11 @@ def _queue_bfs(g, sources):
 @given(sparse_graphs())
 def test_components_equal_unionfind_oracle(g):
     labels = connected_components(g)
-    oracle = _by_smallest_member(connected_components_unionfind(g))
+    uf_labels = connected_components_unionfind(g)
+    oracle = _by_smallest_member(uf_labels)
     assert labels.dtype == np.int64
     assert np.array_equal(labels, oracle)
+    assert np.array_equal(uf_labels, labels)
     assert is_connected(g) == (g.n <= 1 or int(oracle.max()) == 0)
 
 

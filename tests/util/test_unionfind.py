@@ -108,6 +108,15 @@ class TestBatchOps:
         assert labels[0] != labels[1]
         assert set(labels.tolist()) == set(range(uf.n_sets))
 
+    def test_labels_ordered_by_first_appearance(self):
+        # the roots end up as 3 and 1: numbering by root id gave [1, 0, 1, 1]
+        uf = UnionFind(4)
+        uf.union(2, 3)
+        uf.union(0, 3)
+        assert uf.labels().tolist() == [0, 1, 0, 0]
+        assert uf.labels().dtype == np.int64
+        assert UnionFind(0).labels().tolist() == []
+
     def test_component_sizes_sum(self):
         uf = UnionFind(8)
         uf.union(0, 1)
