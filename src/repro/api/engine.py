@@ -172,13 +172,15 @@ def default_epsilon(graph: Graph, mode: str) -> float:
 
 def _identity_prune_result(faulty: Graph, mode: str) -> PruneResult:
     """A no-op PruneResult for pruner-less (percolation-style) analyses."""
+    everyone = np.arange(faulty.n, dtype=np.int64)
     return PruneResult(
         input_graph=faulty,
-        surviving_local=np.arange(faulty.n, dtype=np.int64),
+        surviving_local=everyone,
         culled=[],
         threshold=0.0,
         kind=mode,
         iterations=0,
+        surviving_graph=faulty.subgraph(everyone),
     )
 
 

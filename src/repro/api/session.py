@@ -156,14 +156,14 @@ class Session:
         missing: Dict[BaselineKey, ScenarioSpec] = {}
         for spec in specs:
             key = baseline_key(spec)
-            if key in self._baselines:
+            if key in self._baselines or key in missing:
                 continue
             if self.store is not None and not self.refresh:
                 stored = self.store.get_baseline(key)
                 if stored is not None:
                     self._baselines[key] = stored
                     continue
-            missing.setdefault(key, spec)
+            missing[key] = spec
         if not missing:
             return
         estimates = self.executor.map(_engine._baseline_task, list(missing.values()))

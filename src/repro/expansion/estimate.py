@@ -25,7 +25,6 @@ from ..errors import InvalidParameterError, NotConnectedError
 from ..graphs.graph import Graph
 from ..graphs.traversal import connected_components, component_sizes
 from ..spectral.cheeger import cheeger_bounds
-from ..spectral.eigen import fiedler_vector
 from .exact import edge_expansion_exact, node_expansion_exact
 from .local import refine_cut
 from .sweep import best_edge_sweep_cut, best_node_sweep_cut
@@ -97,9 +96,7 @@ def estimate_node_expansion(
             kind="node", lower=res.value, upper=res.value, witness=res.witness,
             exact=True, method="exhaustive",
         )
-    # one eigensolve serves the sweep order and the Cheeger lower bound
-    info = fiedler_vector(graph)
-    cut = best_node_sweep_cut(graph, np.argsort(info.vector, kind="stable"))
+    cut = best_node_sweep_cut(graph)
     witness = cut.nodes
     upper = cut.ratio
     method = "sweep"
@@ -110,7 +107,7 @@ def estimate_node_expansion(
         refined_ratio = node_expansion_of_set(graph, refined)
         if refined_ratio < upper:
             witness, upper, method = refined, refined_ratio, "sweep+refine"
-    lower = min(cheeger_bounds(graph, info).node_expansion_lower, upper)
+    lower = min(cheeger_bounds(graph).node_expansion_lower, upper)
     return ExpansionEstimate(
         kind="node", lower=lower, upper=upper, witness=witness, exact=False,
         method=method,
@@ -135,9 +132,7 @@ def estimate_edge_expansion(
             kind="edge", lower=res.value, upper=res.value, witness=res.witness,
             exact=True, method="exhaustive",
         )
-    # one eigensolve serves the sweep order and the Cheeger lower bound
-    info = fiedler_vector(graph)
-    cut = best_edge_sweep_cut(graph, np.argsort(info.vector, kind="stable"))
+    cut = best_edge_sweep_cut(graph)
     witness = cut.nodes
     upper = cut.ratio
     method = "sweep"
@@ -148,7 +143,7 @@ def estimate_edge_expansion(
         refined_ratio = edge_expansion_of_set(graph, refined)
         if refined_ratio < upper:
             witness, upper, method = refined, refined_ratio, "sweep+refine"
-    lower = min(cheeger_bounds(graph, info).edge_expansion_lower, upper)
+    lower = min(cheeger_bounds(graph).edge_expansion_lower, upper)
     return ExpansionEstimate(
         kind="edge", lower=lower, upper=upper, witness=witness, exact=False,
         method=method,

@@ -17,6 +17,12 @@ out **read-only** arrays so sharing is safe.  It is owned by
 so a renamed graph never re-derives anything.  The design follows dgl's
 ``ImmutableGraphIndex``: the graph object stays a thin value type, the
 index is the memoised structural companion.
+
+The index also holds one memo it does not compute itself: the
+normalised-Laplacian Fiedler pair, in :attr:`GraphIndex.fiedler`.  The
+Laplacian is a function of the CSR pair alone, so a solve is valid for
+every graph sharing the index; :func:`repro.spectral.eigen.fiedler_vector`
+is its only writer.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ class GraphIndex:
         "_has_isolated",
         "_slot_pairs",
         "_edge_array",
+        "fiedler",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -59,6 +66,9 @@ class GraphIndex:
         self._has_isolated: Optional[bool] = None
         self._slot_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._edge_array: Optional[np.ndarray] = None
+        #: The Fiedler pair (a ``SpectralInfo``) once ``fiedler_vector``
+        #: has solved it; ``None`` until then, and after a failed solve.
+        self.fiedler = None
 
     # -- scalar shape ---------------------------------------------------- #
 
@@ -152,6 +162,7 @@ class GraphIndex:
                 ("isolated", self._isolated),
                 ("slot_pairs", self._slot_pairs),
                 ("edge_array", self._edge_array),
+                ("fiedler", self.fiedler),
             )
             if slot is not None
         ]

@@ -17,7 +17,7 @@ search step is delegated to a :class:`~repro.pruning.cutfinder.CutFinder`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -46,8 +46,11 @@ class PruneResult:
     """Outcome of a pruning run.
 
     ``surviving_local`` indexes into the graph passed to :func:`prune` (the
-    faulty network ``G_f``); use :attr:`surviving_graph` for the induced
-    subnetwork ``H``.
+    faulty network ``G_f``); ``surviving_graph`` is the induced subnetwork
+    ``H`` itself — the very graph object the cut finder last examined and
+    found no cut in, so whatever the finder memoised on it (its Fiedler
+    pair) serves later measurements of ``H``.  Its ``original_ids`` resolve
+    through the input.
     """
 
     input_graph: Graph
@@ -56,11 +59,7 @@ class PruneResult:
     threshold: float
     kind: str
     iterations: int
-
-    @property
-    def surviving_graph(self) -> Graph:
-        """The pruned network ``H`` (original_ids resolve through the input)."""
-        return self.input_graph.subgraph(self.surviving_local)
+    surviving_graph: Graph
 
     @property
     def n_culled(self) -> int:
@@ -120,6 +119,7 @@ def prune(
     threshold = alpha * epsilon
     cap = graph.n if max_iterations is None else int(max_iterations)
     alive = np.arange(graph.n, dtype=np.int64)
+    current = graph.subgraph(alive)
     culled: List[CulledSet] = []
     iteration = 0
     while alive.size > 0:
@@ -127,7 +127,6 @@ def prune(
             raise BudgetExceededError(
                 f"prune exceeded {cap} iterations — cut finder is misbehaving"
             )
-        current = graph.subgraph(alive)
         found = finder.find(current, threshold, "node", require_connected=False)
         if found is None:
             break
@@ -142,6 +141,7 @@ def prune(
         keep = np.ones(alive.size, dtype=bool)
         keep[found.nodes] = False
         alive = alive[keep]
+        current = graph.subgraph(alive)
         iteration += 1
     return PruneResult(
         input_graph=graph,
@@ -150,4 +150,5 @@ def prune(
         threshold=threshold,
         kind="node",
         iterations=iteration,
+        surviving_graph=current,
     )

@@ -78,6 +78,7 @@ def prune2(
     threshold = alpha_e * epsilon
     cap = graph.n if max_iterations is None else int(max_iterations)
     alive = np.arange(graph.n, dtype=np.int64)
+    current = graph.subgraph(alive)
     culled: List[CulledSet] = []
     iteration = 0
     while alive.size > 0:
@@ -85,7 +86,6 @@ def prune2(
             raise BudgetExceededError(
                 f"prune2 exceeded {cap} iterations — cut finder is misbehaving"
             )
-        current = graph.subgraph(alive)
         found = finder.find(current, threshold, "edge", require_connected=True)
         if found is None:
             break
@@ -107,6 +107,7 @@ def prune2(
         keep = np.ones(alive.size, dtype=bool)
         keep[k_local] = False
         alive = alive[keep]
+        current = graph.subgraph(alive)
         iteration += 1
     return PruneResult(
         input_graph=graph,
@@ -115,4 +116,5 @@ def prune2(
         threshold=threshold,
         kind="edge",
         iterations=iteration,
+        surviving_graph=current,
     )

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import InvalidGraphError
 from ..graphs.graph import Graph
-from .eigen import SpectralInfo, fiedler_vector
+from .eigen import fiedler_vector
 
 __all__ = ["CheegerBounds", "cheeger_bounds"]
 
@@ -48,15 +47,11 @@ class CheegerBounds:
         )
 
 
-def cheeger_bounds(graph: Graph, info: Optional[SpectralInfo] = None) -> CheegerBounds:
-    """Compute :class:`CheegerBounds` for a connected graph with ≥ 1 edge.
-
-    ``info`` is the graph's :func:`fiedler_vector`, for callers that have
-    already solved it; otherwise it is solved here.
-    """
+def cheeger_bounds(graph: Graph) -> CheegerBounds:
+    """Compute :class:`CheegerBounds` for a connected graph with ≥ 1 edge."""
     if graph.m == 0:
         raise InvalidGraphError("cheeger bounds need at least one edge")
-    lam = (info if info is not None else fiedler_vector(graph)).lambda2
+    lam = fiedler_vector(graph).lambda2
     dmin = max(graph.min_degree, 1)
     dmax = max(graph.max_degree, 1)
     phi_lo = lam / 2.0

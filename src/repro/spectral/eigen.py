@@ -79,20 +79,32 @@ def _sparse_fiedler(lap: sp.csr_matrix, n: int) -> SpectralInfo:
 def fiedler_vector(graph: Graph) -> SpectralInfo:
     """λ₂ and its eigenvector for the normalised Laplacian of ``graph``.
 
+    The pair is solved once per CSR pair and memoised on the graph's
+    :class:`~repro.graphs.index.GraphIndex` (so ``renamed``/``detached``
+    copies share it); ``vector`` is read-only because every caller gets
+    the same array.  Failed solves raise every time and cache nothing.
+
     Raises
     ------
     NotConnectedError
         If the graph is disconnected (λ₂ would be 0 and the vector would
         merely indicate components, not a useful cut direction).
     """
+    index = graph.index
+    if index.fiedler is not None:
+        return index.fiedler
     if graph.n < 2:
         raise NotConnectedError("fiedler_vector needs at least 2 nodes")
     if not is_connected(graph):
         raise NotConnectedError("fiedler_vector requires a connected graph")
     lap = normalized_laplacian(graph)
     if graph.n < DENSE_CUTOFF:
-        return _dense_fiedler(lap)
-    return _sparse_fiedler(lap, graph.n)
+        info = _dense_fiedler(lap)
+    else:
+        info = _sparse_fiedler(lap, graph.n)
+    info.vector.flags.writeable = False
+    index.fiedler = info
+    return info
 
 
 def spectral_gap(graph: Graph) -> float:

@@ -23,6 +23,21 @@ def sweep(n=24, p_values=(0.05, 0.08, 0.1)):
     ]
 
 
+def stacked_sweep():
+    """2 points × 4 trials of γ on one graph: one stacked kernel call."""
+    return SweepSpec(
+        base=ScenarioSpec(
+            graph=GraphSpec("torus", {"sides": 8, "d": 2}),
+            fault=FaultSpec("random_node", {"p": 0.1}),
+            analysis=AnalysisSpec(pruner=None, measure_expansion=False),
+        ),
+        axes=(Axis("fault.params.p", (0.1, 0.4)),),
+        trials=4,
+        seed=7,
+        metrics=("gamma",),
+    )
+
+
 def _forbid_execution(monkeypatch):
     """Any engine execution after this call is a test failure."""
 
@@ -103,6 +118,22 @@ class TestCaching:
         session.run_batch(sweep(5))  # seed 4 is new
         assert session.misses == 1
 
+    def test_cold_sweep_probes_the_store_once_per_baseline_key(
+        self, tmp_path, monkeypatch
+    ):
+        """Eight missing trials on one graph share one baseline key, so the
+        store's baseline index is read once, not once per trial."""
+        probes = []
+        real = ResultStore.get_baseline
+
+        def counting(store, key):
+            probes.append(key)
+            return real(store, key)
+
+        monkeypatch.setattr(ResultStore, "get_baseline", counting)
+        run_sweep(stacked_sweep(), session=Session(tmp_path / "s"))
+        assert len(probes) == 1
+
 
 class TestDeterminism:
     def test_workers_1_vs_n_identical_fingerprints(self, tmp_path):
@@ -176,17 +207,7 @@ class TestWriteGranularity:
     def test_stack_is_one_append_per_shard(self, tmp_path, monkeypatch):
         """A stacked sweep's records reach each shard they touch in one
         append (one lock, epoch read and file-open pair), not one each."""
-        sweep_spec = SweepSpec(
-            base=ScenarioSpec(
-                graph=GraphSpec("torus", {"sides": 8, "d": 2}),
-                fault=FaultSpec("random_node", {"p": 0.1}),
-                analysis=AnalysisSpec(pruner=None, measure_expansion=False),
-            ),
-            axes=(Axis("fault.params.p", (0.1, 0.4)),),
-            trials=4,
-            seed=7,
-            metrics=("gamma",),
-        )
+        sweep_spec = stacked_sweep()
         store = ResultStore(tmp_path / "s")
         keys = [
             sweep_spec.trial_spec(point, t).hash()

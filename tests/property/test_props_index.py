@@ -6,18 +6,26 @@ whole contract is (a) every view equals what you would compute fresh from
 copies (``renamed``/``detached``) so the cache amortises, and (c) nothing
 it hands out is writable — aliasing a cached array must not let a caller
 corrupt every future read.
+
+The same three hold for the one memo the index does not derive itself,
+the Fiedler pair :func:`~repro.spectral.eigen.fiedler_vector` stores there;
+and a solve that fails must leave nothing behind.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+from repro.errors import NotConnectedError, SolverError
 from repro.graphs.graph import Graph
 from repro.graphs.index import GraphIndex
+from repro.graphs.traversal import is_connected
+from repro.spectral import eigen
+from repro.spectral.eigen import fiedler_vector
 
-from .strategies import graphs
+from .strategies import connected_graphs, graphs
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,3 +96,52 @@ def test_standalone_index_equals_graph_index_views():
     standalone = GraphIndex(g.indptr, g.indices)
     assert np.array_equal(standalone.degrees, g.index.degrees)
     assert np.array_equal(standalone.edge_array, g.index.edge_array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_fiedler_memo_equals_a_fresh_solve_and_is_shared(g):
+    info = fiedler_vector(g)
+    assert g.index.fiedler is info
+    assert fiedler_vector(g) is info
+    fresh = fiedler_vector(
+        Graph(g.indptr.copy(), g.indices.copy(), validate=False)
+    )
+    assert fresh is not info
+    assert info.lambda2 == fresh.lambda2
+    assert np.array_equal(info.vector, fresh.vector)
+    assert fiedler_vector(g.renamed("other")) is info
+    assert fiedler_vector(g.detached()) is info
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_fiedler_vector_is_read_only(g):
+    vector = fiedler_vector(g).vector
+    assert not vector.flags.writeable
+    with pytest.raises(ValueError):
+        vector[...] = 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_disconnected_graph_raises_every_time_and_caches_nothing(g):
+    assume(not is_connected(g))
+    for _ in range(2):
+        with pytest.raises(NotConnectedError):
+            fiedler_vector(g)
+        assert g.index.fiedler is None
+
+
+def test_solver_failure_is_not_cached(monkeypatch):
+    g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64))
+
+    def failing(lap):
+        raise SolverError("no convergence")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eigen, "_dense_fiedler", failing)
+        with pytest.raises(SolverError):
+            fiedler_vector(g)
+    assert g.index.fiedler is None
+    assert fiedler_vector(g).lambda2 > 0
