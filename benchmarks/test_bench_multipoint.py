@@ -47,10 +47,6 @@ def _groups():
     ]
 
 
-def _payload(r):
-    return {k: v for k, v in r.to_dict().items() if k != "timings"}
-
-
 def _best(fn):
     """(best wall-clock seconds, last return value) over ``REPEATS`` runs."""
     best, value = float("inf"), None
@@ -76,8 +72,8 @@ def test_bench_multipoint_stacking(results_dir, capsys):
     solo_s, solo = _best(per_point)
     stack_s, stack = _best(stacked)
 
-    assert [[_payload(r) for r in rs] for rs in stack] == [
-        [_payload(r) for r in rs] for rs in solo
+    assert [[r.to_dict() for r in rs] for rs in stack] == [
+        [r.to_dict() for r in rs] for rs in solo
     ], "stacked records must be bit-identical to per-point records"
 
     speedup = solo_s / stack_s

@@ -651,12 +651,12 @@ def _cmd_cache(argv: list[str]) -> int:
     )
     sub.add_argument(
         "--min-garbage", type=float, default=0.3, metavar="RATIO",
-        help="compact: only rewrite shards at or above this garbage ratio "
+        help="compact: only rewrite logs at or above this garbage ratio "
         "(default: 0.3)",
     )
     sub.add_argument(
         "--force", action="store_true",
-        help="compact: rewrite every shard regardless of garbage ratio",
+        help="compact: rewrite every log regardless of garbage ratio",
     )
     sub.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
@@ -676,14 +676,6 @@ def _cmd_cache(argv: list[str]) -> int:
     if args.action == "stats":
         for key, value in store.stats().to_dict().items():
             print(f"{key:>13}  {value}")
-        for row in store.shard_rows("results"):
-            if not row["segments"] and not row["entries"]:
-                continue  # empty shards add nothing to the picture
-            print(
-                f"  results/shard-{row['shard']:02d}  "
-                f"entries={row['entries']}  segments={row['segments']}  "
-                f"garbage_ratio={row['garbage_ratio']:.2f}"
-            )
     elif args.action == "prune":
         counts = store.prune()
         print(

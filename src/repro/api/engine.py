@@ -20,13 +20,12 @@ The engine turns :class:`~repro.api.specs.ScenarioSpec` data into
 Determinism: a scenario's randomness comes from explicit ``seed`` params
 inside its specs (graph identity) plus the scenario ``seed`` (fault draws).
 Identical ``(spec, seed)`` pairs therefore produce identical results — byte
-for byte, modulo wall-clock ``timings`` — regardless of worker count or
-scheduling order (compare with :meth:`RunResult.fingerprint`).
+for byte — regardless of worker count or scheduling order (compare with
+:meth:`RunResult.fingerprint`).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -236,9 +235,7 @@ def analyze_graph(
 _baseline_cache_key = baseline_key
 
 
-def _package(
-    spec: ScenarioSpec, report: FaultToleranceReport, timings: Dict[str, float]
-) -> RunResult:
+def _package(spec: ScenarioSpec, report: FaultToleranceReport) -> RunResult:
     prune_result = report.prune_result
     faulty = prune_result.input_graph
     surviving_original = faulty.original_ids[prune_result.surviving_local]
@@ -270,7 +267,6 @@ def _package(
         expansion_retention=None if retention != retention else float(retention),
         surviving_nodes=tuple(int(i) for i in surviving_original),
         epsilon=float(report.epsilon),
-        timings=timings,
     )
 
 
@@ -287,13 +283,9 @@ def run(
     """
     if not isinstance(spec, ScenarioSpec):
         raise SpecError(f"run() takes a ScenarioSpec, got {type(spec).__name__}")
-    timings: Dict[str, float] = {}
-    t0 = time.perf_counter()
     graph, raw = resolve_graph(spec.graph)
-    timings["graph"] = time.perf_counter() - t0
 
     key = _baseline_cache_key(spec)
-    t0 = time.perf_counter()
     if baseline_cache is not None and key in baseline_cache:
         baseline = baseline_cache[key]
     else:
@@ -302,13 +294,8 @@ def run(
         )
         if baseline_cache is not None:
             baseline_cache[key] = baseline
-    timings["baseline"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     scenario = apply_fault_spec(graph, spec.fault, seed=spec.seed, raw=raw)
-    timings["fault"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     report = analyze_graph(
         graph,
         scenario,
@@ -320,8 +307,7 @@ def run(
         measure_expansion=spec.analysis.measure_expansion,
         baseline=baseline,
     )
-    timings["analyze"] = time.perf_counter() - t0
-    return _package(spec, report, timings)
+    return _package(spec, report)
 
 
 def _baseline_task(spec: ScenarioSpec) -> ExpansionEstimate:

@@ -15,8 +15,7 @@ identity) plus the scenario ``seed`` (fault draws), and
 :func:`~repro.api.engine.resolve_graph` rejects unseeded stochastic
 generators.  Identical ``(spec, seed)`` therefore ⇒ identical result, which
 is exactly what makes ``spec.hash()`` a sound cache key — a stored result is
-bit-for-bit substitutable for a fresh execution (modulo wall-clock
-``timings``, which are excluded from fingerprints).
+bit-for-bit substitutable for a fresh execution.
 
 Three consequences fall out:
 

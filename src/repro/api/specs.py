@@ -16,9 +16,9 @@ execution side lives in :mod:`repro.api.engine`; registries resolving the
 string names live in :mod:`repro.api.registry`.
 
 :class:`RunResult` is the structured outcome of one executed scenario, with
-provenance (spec hash, seed, per-stage timings).  Its :meth:`~RunResult.fingerprint`
-excludes wall-clock timings, so two runs of the same ``(spec, seed)`` pair
-compare equal even though they never take exactly the same time.
+provenance (spec hash, seed).  It holds nothing time-dependent, so two
+runs of the same ``(spec, seed)`` pair give equal records with the same
+:meth:`~RunResult.fingerprint`.
 """
 
 from __future__ import annotations
@@ -536,8 +536,6 @@ class RunResult:
     expansion_retention: Optional[float]
     surviving_nodes: Tuple[int, ...]
     epsilon: float
-    # wall-clock provenance (excluded from fingerprint/equality-of-record)
-    timings: Dict[str, float] = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         # Built field by field (declaration order) rather than through
@@ -567,7 +565,6 @@ class RunResult:
             "expansion_retention": self.expansion_retention,
             "surviving_nodes": list(self.surviving_nodes),
             "epsilon": self.epsilon,
-            "timings": dict(self.timings),
         }
 
     @classmethod
@@ -575,7 +572,6 @@ class RunResult:
         d = dict(_check_mapping(d, "RunResult"))
         d["spec"] = ScenarioSpec.from_dict(_require(d, "spec", "RunResult"))
         d["surviving_nodes"] = tuple(int(i) for i in d.get("surviving_nodes", ()))
-        d["timings"] = _check_mapping(d.get("timings"), "RunResult.timings")
         try:
             return cls(**d)
         except TypeError as exc:
@@ -589,12 +585,12 @@ class RunResult:
         return cls.from_dict(json.loads(payload))
 
     def fingerprint(self) -> str:
-        """Content hash of everything *except* wall-clock timings —
-        identical ``(spec, seed)`` runs produce identical fingerprints.
+        """Content hash of the record — identical ``(spec, seed)`` runs
+        produce identical fingerprints.
 
-        Memoised: the record is frozen and timings are excluded, so the
-        hash is a pure function of the content (the sweep layer and the
-        store both fingerprint every result).
+        Memoised: the record is frozen, so the hash is a pure function of
+        the content (the sweep layer and the store both fingerprint every
+        result).
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
@@ -603,8 +599,8 @@ class RunResult:
 
     def fingerprint_and_text(self) -> Tuple[str, str]:
         """``(fingerprint, text)``: the record's canonical text — the
-        canonical JSON of :meth:`to_dict` without ``timings`` — and its
-        hash, from one encoding.
+        canonical JSON of :meth:`to_dict` — and its hash, from one
+        encoding.
 
         The store splices its results line from this text instead of
         encoding the record a second time.  Only the fingerprint is
@@ -612,7 +608,6 @@ class RunResult:
         per trial of the canonical sweep), so callers drop it once used.
         """
         d = self.to_dict()
-        del d["timings"]
         nodes = d.pop("surviving_nodes")
         # canonical_json(d) with the node list put back by hand: it is the
         # last key in sorted order, and most of the record's bytes
@@ -645,5 +640,4 @@ class RunResult:
                 if self.expansion_retention is not None
                 else "n/a"
             ),
-            "sec": round(sum(self.timings.values()), 3),
         }

@@ -1,21 +1,21 @@
 """Content-addressed store for scenario results and baselines.
 
 :class:`ResultStore` is the persistence layer behind
-:class:`repro.api.session.Session`.  Since PR 7 it is a thin facade over
-the sharded storage engine in :mod:`repro.storage`: records live in
-hash-sharded, size-rotated segment files with a persistent sidecar offset
-index per shard, so opening a warm store costs O(index) — keys and
-offsets, **no record decoding** — and each lookup decodes exactly one
-record.  Three record kinds are stored:
+:class:`repro.api.session.Session`.  It is a thin facade over the storage
+engine in :mod:`repro.storage`: each record kind lives in one append-only
+log whose lines are framed with their key and append time, so opening a
+warm store scans those frames — keys and offsets, **no record decoding**
+— and each lookup decodes exactly one record.  Three record kinds are
+stored:
 
 * ``results`` — one :class:`~repro.api.specs.RunResult` per record, keyed
   by the scenario's content hash (:meth:`ScenarioSpec.hash`, which covers
   graph + fault + analysis + seed).  The determinism contract — identical
   ``(spec, seed)`` ⇒ identical result — is what makes the key sound: a hit
-  can be substituted for execution byte-for-byte.  Each line is spliced
+  can be substituted for execution byte-for-byte.  Each record is spliced
   from the result's canonical text, the one its fingerprint hashes, so a
   result is serialised once on the way in (:func:`_result_line`); the
-  line is byte-identical to the JSON encoding of the record dict.
+  record is byte-identical to the JSON encoding of the record dict.
 * ``baselines`` — fault-free :class:`ExpansionEstimate`s keyed by
   ``(GraphSpec.key(), mode, exact_threshold)``, so a warm store skips even
   the baseline phase of a batch.
@@ -26,18 +26,17 @@ record.  Three record kinds are stored:
   the keyed layer is unchanged — recompute with ``refresh`` after such
   changes.
 
-Robustness properties (unchanged from the single-file store):
+Robustness properties:
 
 * **Append-only writes.**  A crash mid-write can only truncate the final
-  line of one shard's active segment; every earlier entry stays intact,
+  line of a log's newest segment; every earlier entry stays intact,
   which is what makes interrupted sweeps resumable.  Truncated tails are
   healed on the next open.
-* **Multi-process write safety.**  Every append runs under an advisory
-  :class:`~repro.util.locking.FileLock` — now one lock *per shard*, so
-  service workers appending different keys no longer contend.
-  :meth:`ResultStore.put_results` takes each shard's lock once per call
-  however many records land there; ``fsync=True`` syncs each shard's
-  batch to disk before the call returns.
+* **Multi-process write safety.**  Every append runs under the advisory
+  :class:`~repro.util.locking.FileLock` of its kind's log.
+  :meth:`ResultStore.put_results` takes that lock once per call however
+  many records it writes; ``fsync=True`` syncs the batch to disk before
+  the call returns.
 * **Corrupt-entry tolerance.**  Unparseable lines are counted and skipped,
   never fatal.  Result entries additionally store the
   :meth:`RunResult.fingerprint`; verification is *lazy* — an entry whose
@@ -46,16 +45,17 @@ Robustness properties (unchanged from the single-file store):
   surviving record).
 * **Last-entry-wins.**  Re-running a scenario appends a fresh entry;
   superseded and corrupt lines accumulate as garbage until
-  :meth:`compact` / :meth:`prune` rewrites the affected shards (automatic
-  once a shard's garbage ratio is high enough).
+  :meth:`compact` / :meth:`prune` rewrites the affected logs (automatic
+  once a log's garbage ratio is high enough).
 
 The store is a cache, not data of record: a directory holding files of
 an older layout (single ``results.jsonl``/``baselines.jsonl``/
-``tables.jsonl`` files at the store root) opens as an empty store and
-those files are left untouched.
+``tables.jsonl`` files at the store root, or the ``engine.json`` and
+``shard-*`` directories of the hash-sharded layout) opens as an empty
+store and those files are left untouched.
 
-Maintenance operations: :meth:`stats` (index-served, O(shards)),
-:meth:`compact`, :meth:`prune`, :meth:`clear`.
+Maintenance operations: :meth:`stats` (map-served), :meth:`compact`,
+:meth:`prune`, :meth:`clear`.
 """
 
 from __future__ import annotations
@@ -89,22 +89,21 @@ def _baseline_key_str(key: BaselineKey) -> str:
 
 
 def _result_line(result: RunResult) -> bytes:
-    """The results line of ``result``, spliced from its canonical text.
+    """The results record of ``result``, spliced from its canonical text.
 
     Byte-identical to ``StorageEngine.encode`` of the record dict
     ``{"key": spec hash, "seed", "label", "fingerprint", "result":
     result.to_dict()}``: the top-level keys are written in sorted order,
-    and the ``result`` value is the fingerprint's text with ``timings`` —
-    the one field the fingerprint excludes, last in sorted order — put
-    back before its closing brace.  So the record is encoded once, not
-    once for the fingerprint and again for the line.
+    and the ``result`` value is the text the fingerprint hashes.  So the
+    record is encoded once, not once for the fingerprint and again for
+    the store.
     """
     fingerprint, text = result.fingerprint_and_text()
     return (
         f'{{"fingerprint":"{fingerprint}"'
         f',"key":{canonical_json(result.spec.hash())}'
         f',"label":{canonical_json(result.label)}'
-        f',"result":{text[:-1]},"timings":{canonical_json(dict(result.timings))}}}'
+        f',"result":{text}'
         f',"seed":{canonical_json(result.seed)}}}\n'
     ).encode()
 
@@ -135,7 +134,7 @@ def _estimate_from_dict(d: Dict[str, Any]) -> ExpansionEstimate:
 class StoreStats:
     """Aggregate state of a store (the ``repro cache stats`` payload).
 
-    Served entirely from the shard offset indexes — computing these
+    Served entirely from the logs' in-memory offset maps — computing these
     decodes no records and verifies no fingerprints (corruption hiding
     behind a parseable line surfaces at lookup or compaction instead).
     """
@@ -168,9 +167,9 @@ class ResultStore:
     """Persistent scenario-result + baseline cache rooted at a directory.
 
     Membership (``spec in store``, :meth:`__len__`, :meth:`stats`) is
-    answered from the shard indexes in O(1)/O(shards); record bytes are
+    answered from the logs' in-memory maps in O(1); record bytes are
     read and decoded only by an actual lookup.  Entries appended by
-    *other* processes after a shard's index is loaded are picked up by
+    *other* processes after a log was scanned are picked up by
     :meth:`reload` (the service instead feeds results back through
     :meth:`remember`).
     """
@@ -186,13 +185,13 @@ class ResultStore:
         self.engine.verifier = self._verify_record
         #: Store-wide advisory lock — held by whole-store maintenance
         #: (:meth:`prune`, :meth:`clear`) so two processes never rewrite
-        #: the layout concurrently.  Appends take only their shard's lock.
+        #: the layout concurrently.  Appends take only their log's lock.
         self.lock: FileLock = self.engine._global_lock
         #: Results shipped in via :meth:`remember` (already persisted by
-        #: another process) — overlay consulted before the shard indexes.
+        #: another process) — overlay consulted before the logs' maps.
         self._remembered: Dict[str, RunResult] = {}
-        #: How many of those keys the shard indexes did not hold, as of
-        #: ``_overlay_loads`` results-index loads.
+        #: How many of those keys the results map did not hold, as of
+        #: ``_overlay_loads`` scans of the results log.
         self._remembered_unindexed = 0
         self._overlay_loads = 0
 
@@ -206,22 +205,7 @@ class ResultStore:
     @property
     def corrupt_entries(self) -> int:
         """Corrupt lines observed since open (heals, scans, lazy rejects)."""
-        self.engine.load_all()
-        total = 0
-        for kind in self.engine.kinds():
-            total += sum(s.corrupt_seen for s in self.engine.shards(kind))
-        return total
-
-    @property
-    def superseded_entries(self) -> int:
-        """Resident lines whose key was re-appended later (any kind)."""
-        self.engine.load_all()
-        total = 0
-        for kind in self.engine.kinds():
-            total += sum(
-                s.superseded_current for s in self.engine.shards(kind)
-            )
-        return total
+        return sum(self.engine.log(kind).corrupt_seen for kind in self.engine.kinds())
 
     def segment_files(self, kind: str = "results") -> List[Path]:
         """Every live segment file of ``kind`` (test/debug helper)."""
@@ -229,7 +213,7 @@ class ResultStore:
 
     def _verify_record(self, kind: str, key: str, record: dict) -> bool:
         """Compaction's integrity check — the one *eager* verification
-        pass, run only while a shard is being rewritten anyway."""
+        pass, run only while a log is being rewritten anyway."""
         if kind == "results":
             return self._decode_result(record) is not None
         if kind == "baselines":
@@ -245,7 +229,7 @@ class ResultStore:
     # -- load / reload -------------------------------------------------- #
 
     def reload(self) -> None:
-        """Drop the in-memory indexes (picks up other processes' appends)."""
+        """Drop the in-memory maps (picks up other processes' appends)."""
         self.engine.reload()
         self._forget()
 
@@ -281,9 +265,8 @@ class ResultStore:
 
     def put_results(self, results: Iterable[RunResult]) -> int:
         """Append ``results`` in one engine call — one lock, one epoch
-        read and one pair of file opens per shard they touch — each
-        becoming the entry served for its spec; returns the number of
-        records written."""
+        read and one file open — each becoming the entry served for its
+        spec; returns the number of records written."""
         records = [(result.spec.hash(), result) for result in results]
         self.engine.append_many("results", records, _result_line)
         return len(records)
@@ -318,19 +301,19 @@ class ResultStore:
         self._remembered[key] = result
 
     def contains_key(self, key: str) -> bool:
-        """O(1) index membership for a raw result key — no file read."""
+        """O(1) map membership for a raw result key — no file read."""
         return key in self._remembered or self.engine.contains("results", key)
 
     def __contains__(self, spec: ScenarioSpec) -> bool:
         return self.contains_key(spec.hash())
 
     def __len__(self) -> int:
-        """Live results: the shard indexes plus what :meth:`remember`
-        added beyond them — O(shards) until an index reloads."""
+        """Live results: the results map plus what :meth:`remember`
+        added beyond it — O(1) until the log is scanned again."""
         n = self.engine.count("results")
         loads = self.engine.loads("results")
         if loads != self._overlay_loads:
-            # a reloaded index may now hold keys the overlay counted
+            # a rescanned log may now hold keys the overlay counted
             self._remembered_unindexed = sum(
                 not self.engine.contains("results", key) for key in self._remembered
             )
@@ -381,11 +364,10 @@ class ResultStore:
     # -- maintenance ---------------------------------------------------- #
 
     def stats(self) -> StoreStats:
-        """Entry counts, anomaly counts and on-disk size — index-served.
+        """Entry counts, anomaly counts and on-disk size — map-served.
 
-        This decodes no records: counts come straight from the shard
-        offset indexes, so ``cache stats`` on a million-entry store is
-        instant.
+        This decodes no records: counts come straight from the logs'
+        in-memory offset maps.
         """
         totals = {
             kind: self.engine.counts(kind) for kind in self.engine.kinds()
@@ -397,16 +379,12 @@ class ResultStore:
             results=totals.get("results", {}).get("entries", 0),
             baselines=totals.get("baselines", {}).get("entries", 0),
             tables=totals.get("tables", {}).get("entries", 0),
-            corrupt=self.corrupt_entries,
-            superseded=self.superseded_entries,
+            corrupt=sum(c["corrupt"] for c in totals.values()),
+            superseded=sum(c["superseded"] for c in totals.values()),
             bytes=sum(c["bytes"] for c in totals.values()),
             segments=sum(c["segments"] for c in totals.values()),
             garbage_ratio=(garbage / (live + garbage)) if (live + garbage) else 0.0,
         )
-
-    def shard_rows(self, kind: str = "results") -> List[Dict[str, float]]:
-        """Per-shard stats rows (the ``cache stats`` detail listing)."""
-        return self.engine.shard_rows(kind)
 
     def compact(
         self,
@@ -416,7 +394,7 @@ class ResultStore:
         max_bytes: Optional[int] = None,
         max_age_s: Optional[float] = None,
     ) -> Dict[str, int]:
-        """Rewrite shards, dropping superseded/corrupt lines and applying
+        """Rewrite logs, dropping superseded/corrupt lines and applying
         eviction policies (see :meth:`StorageEngine.compact`).  Survivor
         lines are copied byte-for-byte, so fingerprints are untouched;
         every survivor is re-verified on the way through."""
@@ -428,7 +406,7 @@ class ResultStore:
         )
 
     def prune(self) -> Dict[str, int]:
-        """Compact every shard: drop corrupt and superseded lines.
+        """Compact every log: drop corrupt and superseded lines.
 
         Returns ``{"kept": ..., "dropped": ...}`` where ``dropped`` counts
         every line physically removed: corrupt lines and superseded
@@ -445,7 +423,7 @@ class ResultStore:
         }
 
     def clear(self) -> None:
-        """Delete every stored entry (segments and indexes are removed)."""
+        """Delete every stored entry (the segments are removed)."""
         with self.lock:
             self.engine.clear()
         self._forget()

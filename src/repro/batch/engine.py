@@ -10,9 +10,8 @@ kernels in :mod:`repro.graphs.traversal`.
 
 Equivalence contract: for every supported spec list,
 ``run_trials(specs)[i] == repro.api.engine.run(specs[i])`` as
-:class:`~repro.api.specs.RunResult` records (equality and
-:meth:`~repro.api.specs.RunResult.fingerprint` both exclude wall-clock
-timings).  The contract is property-tested in
+:class:`~repro.api.specs.RunResult` records, with the same
+:meth:`~repro.api.specs.RunResult.fingerprint`.  The contract is property-tested in
 ``tests/batch/test_differential.py``; anything the contract cannot cover
 — unregistered fault models, pruning analyses, survivor expansion
 estimates — is rejected by :func:`supports` and stays on the scalar path.
@@ -20,7 +19,6 @@ estimates — is rejected by :func:`supports` and stays on the scalar path.
 
 from __future__ import annotations
 
-import time
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
@@ -179,26 +177,19 @@ def run_points(
                 "— only fault models, seeds and labels may vary across points"
             )
     analysis = head.analysis
-    timings = {"graph": 0.0, "baseline": 0.0, "fault": 0.0, "analyze": 0.0}
 
-    t0 = time.perf_counter()
     if graph is None:
         graph, _raw = resolve_graph(head.graph)
-    timings["graph"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     if baseline is None:
         baseline = baseline_expansion(
             graph, analysis.mode, exact_threshold=analysis.exact_threshold
         )
-    timings["baseline"] = time.perf_counter() - t0
 
     epsilon = analysis.epsilon
     if epsilon is None:
         epsilon = default_epsilon(graph, analysis.mode)
 
     n = graph.n
-    t0 = time.perf_counter()
     masks = []
     kinds = []
     for h, g in zip(heads, groups):
@@ -206,21 +197,14 @@ def run_points(
         masks.append(fault_masks)
         kinds.append(kind)
     alive = ~np.vstack(masks) if len(masks) > 1 else ~masks[0]
-    timings["fault"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     labels = batched_connected_components(graph, alive)
     n_components, largest = batched_component_stats(labels)
     n_alive = alive.sum(axis=1, dtype=np.int64)
-    timings["analyze"] = time.perf_counter() - t0
 
     out: List[List[RunResult]] = [[] for _ in groups]
     baseline_value = float(baseline.value)
     baseline_exact = bool(baseline.exact)
-    total_T = alive.shape[0]
-    # amortise the shared wall-clock evenly across the records (provenance
-    # only — timings are excluded from fingerprints and equality)
-    shared = {name: seconds / total_T for name, seconds in timings.items()}
     row = 0
     for gi, kind in enumerate(kinds):
         for spec in groups[gi]:
@@ -252,7 +236,6 @@ def run_points(
                     expansion_retention=None,
                     surviving_nodes=tuple(surviving.tolist()),
                     epsilon=float(epsilon),
-                    timings=dict(shared),
                 )
             )
     return out

@@ -56,6 +56,7 @@ reruns) or, when ``session`` is omitted, builds a throwaway one from
 from __future__ import annotations
 
 import math
+import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -1097,7 +1098,7 @@ def experiment_e11_cutfinder_ablation(
     sess = _get_session(session, workers)
     provenance: List[Dict[str, object]] = []
 
-    def _trials(gspec, p, finder, finder_params, exact_threshold):
+    def _row(finder_name, gspec, p, finder, finder_params, exact_threshold) -> Row:
         sweep = SweepSpec(
             base=ScenarioSpec(
                 graph=gspec,
@@ -1119,24 +1120,16 @@ def experiment_e11_cutfinder_ablation(
             label=f"e11:{finder}",
         )
         provenance.append(_sweep_provenance(sweep))
+        t0 = time.perf_counter()
         (point,) = run_sweep(sweep, sess, keep_results=True).points
-        return list(point.results)
-
-    def _stats(results) -> dict:
+        seconds = time.perf_counter() - t0
+        results = point.results
         return {
+            "graph": results[0].graph_name,
+            "finder": finder_name,
             "mean_H": float(np.mean([r.n_surviving for r in results])),
             "mean_culls": float(np.mean([r.n_culled_sets for r in results])),
-            "sec_per_run": round(
-                float(
-                    np.mean(
-                        [
-                            r.timings.get("fault", 0.0) + r.timings.get("analyze", 0.0)
-                            for r in results
-                        ]
-                    )
-                ),
-                4,
-            ),
+            "sec_per_run": round(seconds / len(results), 4),
         }
 
     rows: List[Row] = []
@@ -1148,20 +1141,14 @@ def experiment_e11_cutfinder_ablation(
         ("sweep+refine", "sweep", {"refine": True}),
         ("sweep", "sweep", {"refine": False}),
     ):
-        results = _trials(small, 0.35, finder, params, 16)
-        rows.append(
-            {"graph": results[0].graph_name, "finder": finder_name, **_stats(results)}
-        )
+        rows.append(_row(finder_name, small, 0.35, finder, params, 16))
     # --- heuristic variants at scale ------------------------------------ #
     big = GraphSpec("torus", {"sides": 16 * scale, "d": 2})
     for finder_name, finder, params in (
         ("sweep+refine", "sweep", {"refine": True}),
         ("sweep", "sweep", {"refine": False}),
     ):
-        results = _trials(big, 0.20, finder, params, 14)
-        rows.append(
-            {"graph": results[0].graph_name, "finder": finder_name, **_stats(results)}
-        )
+        rows.append(_row(finder_name, big, 0.20, finder, params, 14))
     return _table("e11", rows, provenance=provenance)
 
 

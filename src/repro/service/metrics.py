@@ -46,24 +46,24 @@ SERVICE_METRICS: Dict[str, Tuple[str, str]] = {
     "workers_crashed_total": ("counter", "worker processes that died or were timed out"),
     # Storage-engine counters, synced from the result store's monotonic
     # StorageCounters before every exposition (see Service.sync_store_metrics).
-    "store_compactions_total": ("counter", "result-store shard compactions"),
+    "store_compactions_total": ("counter", "result-store log compactions"),
     "store_evictions_total": (
         "counter",
         "result-store entries evicted by size/age policy",
     ),
     "store_index_hits_total": (
         "counter",
-        "result-store lookups answered by a shard offset index",
+        "result-store lookups answered by a log's offset map",
     ),
     "store_index_misses_total": (
         "counter",
-        "result-store lookups whose key was absent from every index",
+        "result-store lookups whose key was absent from its log's map",
     ),
     "jobs_queued": ("gauge", "jobs currently waiting on the priority queue"),
     "jobs_running": ("gauge", "jobs currently executing on a worker"),
     "sweeps_active": ("gauge", "sweeps currently queued or running"),
     "workers_alive": ("gauge", "worker processes currently alive"),
-    "store_segments": ("gauge", "segment files across the result store's shards"),
+    "store_segments": ("gauge", "segment files across the result store's logs"),
     "store_entries": ("gauge", "live entries in the result store (all kinds)"),
     "store_garbage_ratio": (
         "gauge",

@@ -403,8 +403,8 @@ class SweepService:
         c.set_value("store_index_misses_total", sc.get("index_misses"))
         stats = self.store.stats()
         c.set_gauge("store_segments", stats.segments)
-        # len() also counts the results workers appended after the shard
-        # indexes were loaded, which stats() cannot see
+        # len() also counts the results workers appended after the results
+        # log was scanned, which stats() cannot see
         c.set_gauge(
             "store_entries", len(self.store) + stats.baselines + stats.tables
         )

@@ -1,16 +1,15 @@
-"""Sharded, indexed, compacting storage engine for the result store.
+"""Append-only, compacting storage engine for the result store.
 
 This package is the persistence machinery below
 :class:`repro.api.store.ResultStore`.  The facade keeps the public API
 (content-addressed keys, corrupt-line tolerance, last-entry-wins); this
-layer owns the on-disk layout and its scaling properties:
+layer owns the on-disk layout:
 
-* :class:`~repro.storage.shard.Shard` — one hash shard: rotated append-only
-  segment files, a persistent sidecar offset index, and a per-shard
-  advisory lock so writers of different keys never contend.
-* :class:`~repro.storage.engine.StorageEngine` — the shard router: key →
-  shard placement, lazy per-lookup decode, and compaction/eviction
-  policies.
+* :class:`~repro.storage.log.RecordLog` — one record kind's append-only
+  log: framed segment files scanned at open, an epoch file and an
+  advisory lock.
+* :class:`~repro.storage.engine.StorageEngine` — one log per kind, lazy
+  per-lookup decode, and compaction/eviction policies.
 * :class:`~repro.storage.counters.StorageCounters` — monotonic operational
   counters (segments, compactions, evictions, index hits/misses) exported
   through the service's ``/metrics``.
@@ -19,14 +18,7 @@ See ``docs/storage.md`` and DESIGN.md §10 for the invariants.
 """
 
 from .counters import StorageCounters
-from .engine import DEFAULT_SEGMENT_BYTES, DEFAULT_SHARDS, StorageEngine
-from .shard import IndexEntry, Shard
+from .engine import StorageEngine
+from .log import IndexEntry, RecordLog
 
-__all__ = [
-    "DEFAULT_SEGMENT_BYTES",
-    "DEFAULT_SHARDS",
-    "IndexEntry",
-    "Shard",
-    "StorageCounters",
-    "StorageEngine",
-]
+__all__ = ["IndexEntry", "RecordLog", "StorageCounters", "StorageEngine"]

@@ -1,9 +1,9 @@
 """Monotonic operational counters for the storage engine.
 
-One :class:`StorageCounters` instance is shared by every shard of a
+One :class:`StorageCounters` instance is shared by every log of a
 :class:`~repro.storage.engine.StorageEngine`.  All fields are cumulative
 since the engine was opened (they never decrease, unlike the *current*
-garbage accounting kept per shard), which is what makes them safe to
+garbage accounting kept per log), which is what makes them safe to
 export as Prometheus counters through :mod:`repro.service.metrics`.
 """
 
@@ -20,15 +20,13 @@ COUNTER_FIELDS: Dict[str, str] = {
     "appends": "records appended (any kind)",
     "superseded": "appends that replaced an existing key",
     "corrupt": "corrupt records seen (scan, heal, or lazy verification)",
-    "index_hits": "lookups answered by the offset index",
-    "index_misses": "lookups whose key was absent from the index",
+    "index_hits": "lookups answered by the in-memory offset map",
+    "index_misses": "lookups whose key was absent from the map",
     "records_decoded": "records actually read and JSON-decoded",
-    "segments_created": "segment files created (rotation or compaction)",
+    "segments_created": "segment files created (first append or compaction)",
     "segments_deleted": "segment files removed by compaction or clear",
-    "compactions": "shard compactions performed",
+    "compactions": "log compactions performed",
     "evictions": "entries evicted by size/age policy",
-    "tail_scans": "index tail-scans (appends by other processes picked up)",
-    "rebuilds": "full shard index rebuilds (missing or invalid sidecar)",
 }
 
 

@@ -128,7 +128,6 @@ class TestRun:
         assert 0 < res.n_surviving <= 64
         assert res.baseline_expansion > 0
         assert res.spec_hash == torus_spec().hash()
-        assert set(res.timings) == {"graph", "baseline", "fault", "analyze"}
 
     def test_result_round_trips_through_json(self):
         res = run(torus_spec())
@@ -139,7 +138,7 @@ class TestRun:
     def test_identical_spec_seed_identical_result(self):
         a, b = run(torus_spec(seed=7)), run(torus_spec(seed=7))
         assert a.fingerprint() == b.fingerprint()
-        assert a == b  # timings excluded from equality
+        assert a == b
 
     def test_different_seed_different_faults(self):
         a, b = run(torus_spec(p=0.3, seed=1)), run(torus_spec(p=0.3, seed=2))

@@ -8,7 +8,8 @@ from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.store import ResultStore
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.errors import SpecError
-from repro.storage.shard import Shard
+from repro.storage.log import RecordLog
+from repro.util.locking import FileLock
 
 
 def sweep(n=24, p_values=(0.05, 0.08, 0.1)):
@@ -204,31 +205,37 @@ class TestRunIter:
 
 
 class TestWriteGranularity:
-    def test_stack_is_one_append_per_shard(self, tmp_path, monkeypatch):
-        """A stacked sweep's records reach each shard they touch in one
-        append (one lock, epoch read and file-open pair), not one each."""
+    def test_stack_is_one_append_to_one_log(self, tmp_path, monkeypatch):
+        """A stacked sweep's records reach the results log in one append:
+        one lock, one epoch read and one segment file, not one each."""
         sweep_spec = stacked_sweep()
         store = ResultStore(tmp_path / "s")
-        keys = [
-            sweep_spec.trial_spec(point, t).hash()
-            for point in sweep_spec.points()
-            for t in range(4)
-        ]
-        touched = {store.engine.shard_for("results", k).path for k in keys}
-        assert len(touched) < len(keys)  # some shard takes two records
+        locked = []
+        real_acquire = FileLock.acquire
+
+        def acquire(lock):
+            if not lock.held:
+                locked.append(lock.path)
+            real_acquire(lock)
+
         calls = []
-        real = Shard.append_many
+        real = RecordLog.append_many
 
-        def counting(shard, items):
+        def counting(log, items):
             items = list(items)
-            if shard.path.parent.name == "results":
-                calls.append((shard.path, len(items)))
-            return real(shard, items)
+            before = len(locked)
+            out = real(log, items)
+            calls.append((log.path.name, len(items), locked[before:]))
+            return out
 
-        monkeypatch.setattr(Shard, "append_many", counting)
+        monkeypatch.setattr(FileLock, "acquire", acquire)
+        monkeypatch.setattr(RecordLog, "append_many", counting)
         result = run_sweep(sweep_spec, session=Session(store))
-        assert sorted(path for path, _ in calls) == sorted(touched)
-        assert sum(n for _, n in calls) == len(keys)
+        results_dir = tmp_path / "s" / "results"
+        assert [c for c in calls if c[0] == "results"] == [
+            ("results", 8, [results_dir / ".lock"])
+        ]
+        assert store.segment_files("results") == [results_dir / "seg-000000.jsonl"]
         assert result.fingerprint() == run_sweep(sweep_spec).fingerprint()
 
     def test_serve_stores_a_whole_batch_before_its_first_yield(self, tmp_path):
@@ -257,18 +264,13 @@ class TestResumeAfterPartialWrite:
         specs = sweep(8)
         reference = Session(tmp_path / "s").run_batch(specs)
         store = ResultStore(tmp_path / "s")
-        # Simulate a crash mid-append: truncate the shard segment holding
-        # specs[5] half-way through that record — it and every later entry
-        # in the same segment are lost, everything else stays warm.
+        # Simulate a crash mid-append: truncate the results log half-way
+        # through specs[5]'s line — it and every later entry are lost,
+        # everything else stays warm.
         key = specs[5].hash()
-        shard = store.engine.shard_for("results", key)
-        entry = shard.entry(key)
-        lost = {
-            k
-            for k in shard.keys()
-            if shard.entry(k).seg == entry.seg
-            and shard.entry(k).off >= entry.off
-        }
+        log = store.engine.log("results")
+        entry = log.entry(key)
+        lost = {k for k in log.keys() if log.entry(k).off >= entry.off}
         seg = store.engine.locate("results", key)[0]
         with open(seg, "r+b") as fh:
             fh.truncate(entry.off + 60)

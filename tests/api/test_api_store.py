@@ -133,9 +133,6 @@ def run_results(draw):
         expansion_retention=draw(st.one_of(st.none(), _FLOATS)),
         surviving_nodes=tuple(nodes),
         epsilon=draw(_FLOATS),
-        timings=draw(
-            st.dictionaries(st.one_of(_TRICKY_TEXT, st.text(max_size=8)), _FLOATS, max_size=4)
-        ),
     )
 
 
@@ -143,11 +140,11 @@ class TestResultLineEncoding:
     @settings(max_examples=150, deadline=None)
     @given(run_results())
     def test_line_is_the_record_dict_encoding(self, result):
-        """The store splices each results line from the fingerprint's
+        """The store splices each results record from the fingerprint's
         text; it must equal the encoding of the record dict byte for byte
-        (so fingerprints, store sizes and older stores are unaffected)."""
+        (so fingerprints and store sizes are unaffected), framed in its
+        line by the key and the append time."""
         content = result.to_dict()
-        del content["timings"]
         fingerprint = hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
         reference = StorageEngine.encode(
             {
@@ -162,9 +159,11 @@ class TestResultLineEncoding:
             ResultStore(tmp).put_result(result)
             store = ResultStore(tmp)
             seg, entry = store.engine.locate("results", result.spec.hash())
+            frame = f"{json.dumps(result.spec.hash())}\t{entry.ts}\t".encode()
             with open(seg, "rb") as fh:
-                assert fh.read() == reference
-            assert entry.length == len(reference)
+                assert fh.read() == frame + reference
+            assert entry.length == len(frame + reference)
+            assert store.engine.get_raw("results", result.spec.hash()) == reference
             cached = store.get_result(result.spec)
         assert cached == result
         assert cached.fingerprint() == result.fingerprint() == fingerprint
@@ -198,6 +197,43 @@ class TestOlderLayout:
         assert store.get_table("t") is None
         stats = store.stats()
         assert (stats.results, stats.baselines, stats.tables) == (0, 0, 0)
+        for name, text in files.items():
+            assert (path / name).read_text() == text
+
+    def test_sharded_layout_opens_cold_and_stays_on_disk(self, tmp_path):
+        """A directory in the hash-sharded layout (``engine.json`` plus
+        ``<kind>/shard-NN/`` segments with a sidecar ``index.log``) opens
+        as an empty store, and none of its files is read or removed."""
+        path = tmp_path / "store"
+        result = run(torus_spec())
+        record = {
+            "key": result.spec.hash(),
+            "seed": result.seed,
+            "label": result.label,
+            "fingerprint": result.fingerprint(),
+            "result": result.to_dict(),
+        }
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        files = {
+            "engine.json": '{"shards": {"baselines": 4, "results": 16, "tables": 4}, "version": 1}',
+            "results/shard-03/seg-000000.jsonl": line,
+            "results/shard-03/index.log": (
+                f'#repro-index v1\n"{result.spec.hash()}"\t0\t0\t{len(line)}\t0\n'
+            ),
+            "results/shard-03/epoch": "2",
+            "tables/shard-00/seg-000000.jsonl": '{"key":"t","payload":{}}\n',
+        }
+        for name, text in files.items():
+            (path / name).parent.mkdir(parents=True, exist_ok=True)
+            (path / name).write_text(text)
+        store = ResultStore(path)
+        assert len(store) == 0
+        assert store.get_result(torus_spec()) is None
+        assert store.get_table("t") is None
+        stats = store.stats()
+        assert (stats.results, stats.tables, stats.corrupt) == (0, 0, 0)
+        store.put_result(result)
+        assert ResultStore(path).get_result(torus_spec()) == result
         for name, text in files.items():
             assert (path / name).read_text() == text
 
@@ -256,16 +292,11 @@ class TestCorruptionTolerance:
     def test_truncated_final_line_tolerated(self, store):
         results = self._fill(store)
         # Truncate mid-way through seed=3's line; every later entry in the
-        # same shard segment is collateral damage, everything else survives.
+        # log is collateral damage, everything else survives.
         key = torus_spec(seed=3).hash()
-        shard = store.engine.shard_for("results", key)
-        entry = shard.entry(key)
-        lost = {
-            k
-            for k in shard.keys()
-            if shard.entry(k).seg == entry.seg
-            and shard.entry(k).off >= entry.off
-        }
+        log = store.engine.log("results")
+        entry = log.entry(key)
+        lost = {k for k in log.keys() if log.entry(k).off >= entry.off}
         seg = store.engine.locate("results", key)[0]
         with open(seg, "r+b") as fh:
             fh.truncate(entry.off + 50)
@@ -278,13 +309,13 @@ class TestCorruptionTolerance:
         assert reopened.corrupt_entries == 1
 
     def _rewrite_record(self, store, key, mutate):
-        """Tamper with the single record for ``key`` in place (and drop the
-        sidecar index so the shard rebuilds from the tampered segment)."""
+        """Tamper with the single record for ``key`` in place, keeping its
+        line's frame (so the scan at open still maps the key to it)."""
         seg, _entry = store.engine.locate("results", key)
-        record = json.loads(seg.read_text())
+        frame_key, ts, text = seg.read_text().split("\t", 2)
+        record = json.loads(text)
         mutate(record)
-        seg.write_text(json.dumps(record) + "\n")
-        (seg.parent / "index.log").unlink()
+        seg.write_text(f"{frame_key}\t{ts}\t{json.dumps(record)}\n")
 
     def test_tampered_value_rejected_by_fingerprint(self, store):
         (result,) = self._fill(store, n=1)
@@ -305,17 +336,17 @@ class TestCorruptionTolerance:
 
         self._rewrite_record(store, result.spec.hash(), tamper)
         reopened = ResultStore(store.path)
-        # Verification is lazy: the mis-keyed line occupies an index slot
+        # Verification is lazy: the mis-keyed line occupies a map slot
         # until compaction's verify pass removes it, but it is never served.
         assert reopened.get_result(torus_spec(seed=0)) is None
         reopened.compact(force=True)
         assert len(reopened) == 0
 
     def test_corrupt_baseline_lines_skipped(self, store):
-        shard = store.engine.shard_for("baselines", "x:node:14")
-        seg = shard.path / "seg-000000.jsonl"
+        seg = store.path / "baselines" / "seg-000000.jsonl"
         seg.write_text(
-            '{"key": "x:node:14", "estimate": {"bad": true}}\n' "garbage\n"
+            '"x:node:14"\t1\t{"key": "x:node:14", "estimate": {"bad": true}}\n'
+            "garbage\n"
         )
         assert store.get_baseline(("x", "node", 14)) is None
         assert store.corrupt_entries == 2
@@ -381,15 +412,8 @@ class TestRememberedCount:
     def test_len_stays_exact_after_another_process_compacts(self, store):
         indexed = run(torus_spec(seed=1))
         store.put_result(indexed)
-        shard = store.engine.shard_for("results", indexed.spec.hash())
-        # worker results, one of them in the indexed result's shard, so
-        # the reload below brings it into the server's index
-        shipped, seed = [], 2
-        while not any(
-            store.engine.shard_for("results", r.spec.hash()) is shard for r in shipped
-        ):
-            shipped.append(run(torus_spec(seed=seed)))
-            seed += 1
+        # worker results, which the reload below brings into the server's map
+        shipped = [run(torus_spec(seed=seed)) for seed in (2, 3)]
         worker = ResultStore(store.path)
         for result in shipped:
             worker.put_result(result)
@@ -440,9 +464,8 @@ class TestWriteSafety:
     def test_lock_file_created(self, tmp_path):
         locked = ResultStore(tmp_path / "locked")
         locked.put_table("k", {"v": 1})
-        # Appends lock per shard: the written shard has a lock file.
-        shard = locked.engine.shard_for("tables", "k")
-        assert (shard.path / ".lock").exists()
+        # Appends lock their kind's log: the written log has a lock file.
+        assert (locked.path / "tables" / ".lock").exists()
 
     def test_lock_is_reentrant_through_prune(self, store):
         """prune() holds the lock while calling put_result (which locks
@@ -513,20 +536,11 @@ class TestWriteSafety:
     def test_partial_tail_never_swallows_next_append(self, store):
         store.put_result(run(torus_spec(seed=0)))
         key0 = torus_spec(seed=0).hash()
-        shard0 = store.engine.shard_for("results", key0)
-        # A second spec landing in the *same* shard, so its append follows
-        # the crash fragment.
-        seed1 = next(
-            s
-            for s in range(1, 64)
-            if store.engine.shard_for("results", torus_spec(seed=s).hash())
-            is shard0
-        )
         seg = store.engine.locate("results", key0)[0]
         with open(seg, "a") as fh:
-            fh.write('{"key": "half-writ')  # no newline: simulated crash
+            fh.write('"k"\t1\t{"key": "half-writ')  # no newline: simulated crash
         reopened = ResultStore(store.path)
-        reopened.put_result(run(torus_spec(seed=seed1)))
+        reopened.put_result(run(torus_spec(seed=1)))
         fresh = ResultStore(store.path)
         assert len(fresh) == 2
         assert fresh.stats().corrupt == 0  # fragment was truncated, not kept

@@ -42,10 +42,6 @@ any_graphs = st.one_of(
 alphas = st.sampled_from([0.0, 0.05, 0.2, 0.25, 0.5, 1.0, 10.0])
 
 
-def payload(r):  # timings are wall-clock, everything else is content
-    return {k: v for k, v in r.to_dict().items() if k != "timings"}
-
-
 # --------------------------------------------------------------------- #
 # kernel level: cascade_rounds row-for-row == cascade_fixpoint
 # --------------------------------------------------------------------- #
@@ -132,6 +128,6 @@ def test_batched_pipeline_matches_scalar(gspec, alpha):
     ]
     scalar = [Session().run(spec) for spec in specs]
     batched = Session().run_trials_batched(specs)
-    assert [payload(r) for r in batched] == [payload(r) for r in scalar]
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in scalar]
     assert [r.fingerprint() for r in batched] == [r.fingerprint() for r in scalar]
 

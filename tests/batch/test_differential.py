@@ -178,7 +178,7 @@ def test_run_trials_matches_scalar_engine(n, extra, gseed, p, seed0, trials):
     batched = batch_engine.run_trials(specs)
     scalar = [scalar_engine.run(spec) for spec in specs]
     for b, s in zip(batched, scalar):
-        assert b == s  # dataclass equality (timings excluded by design)
+        assert b == s  # dataclass equality
         assert b.fingerprint() == s.fingerprint()
         assert b.to_dict()["surviving_nodes"] == s.to_dict()["surviving_nodes"]
 
@@ -220,15 +220,9 @@ def _sweep(trials=5):
 
 
 def _store_entries(path):
-    """Live result records keyed by spec hash, timings dropped (wall-clock
-    is the one field outside the equivalence contract)."""
-    entries = {}
+    """Live result records keyed by spec hash."""
     engine = ResultStore(path).engine
-    for key in engine.keys("results"):
-        record = engine.get_record("results", key)
-        record["result"].pop("timings")
-        entries[key] = record
-    return entries
+    return {key: engine.get_record("results", key) for key in engine.keys("results")}
 
 
 def test_store_entries_identical_across_strategies(tmp_path):

@@ -43,10 +43,6 @@ def _point(p, n_trials, seed0=0):
     ]
 
 
-def _payload(r):
-    return {k: v for k, v in r.to_dict().items() if k != "timings"}
-
-
 # --------------------------------------------------------------------- #
 # stack_key
 # --------------------------------------------------------------------- #
@@ -82,7 +78,7 @@ def test_run_points_matches_per_point_run_trials():
     assert [len(rs) for rs in stacked] == [4, 3, 5]
     for group, stacked_group in zip(groups, stacked):
         solo = batch_engine.run_trials(group)
-        assert [_payload(r) for r in stacked_group] == [_payload(r) for r in solo]
+        assert [r.to_dict() for r in stacked_group] == [r.to_dict() for r in solo]
 
 
 def test_run_points_rejects_mixed_stack_keys():
@@ -104,15 +100,15 @@ def test_session_run_points_batched_matches_and_caches(tmp_path):
     out = cold.run_points_batched(groups)
     per_point = Session()
     expected = [per_point.run_trials_batched(g) for g in groups]
-    assert [[_payload(r) for r in rs] for rs in out] == [
-        [_payload(r) for r in rs] for rs in expected
+    assert [[r.to_dict() for r in rs] for rs in out] == [
+        [r.to_dict() for r in rs] for rs in expected
     ]
     # warm rerun serves every trial from the store
     warm = Session(store=str(tmp_path / "a"))
     again = warm.run_points_batched(groups)
     assert warm.hits == 6 and warm.misses == 0
-    assert [[_payload(r) for r in rs] for rs in again] == [
-        [_payload(r) for r in rs] for rs in out
+    assert [[r.to_dict() for r in rs] for rs in again] == [
+        [r.to_dict() for r in rs] for rs in out
     ]
 
 

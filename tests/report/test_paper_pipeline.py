@@ -66,12 +66,12 @@ class TestRunPaper:
         store = ResultStore(tmp_path / "out" / "store")
         key = sorted(store.engine.keys("tables"))[0]
         seg, _entry = store.engine.locate("tables", key)
-        record = json.loads(seg.read_text().splitlines()[0])
-        record["payload"] = {"not": "a table"}
         lines = seg.read_text().splitlines()
-        lines[0] = json.dumps(record)
+        frame_key, ts, text = lines[0].split("\t", 2)
+        record = json.loads(text)
+        record["payload"] = {"not": "a table"}
+        lines[0] = f"{frame_key}\t{ts}\t{json.dumps(record)}"
         seg.write_text("\n".join(lines) + "\n")
-        (seg.parent / "index.log").unlink()  # force a rebuild on next open
         again = _run(tmp_path, "out")
         assert again.table_misses == 1 and again.table_hits == 1
         assert again.engine_calls == 0  # scenario store still warm

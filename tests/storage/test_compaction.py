@@ -48,12 +48,11 @@ class TestFacadeCompaction:
         result = run(torus_spec())
         store.put_result(result)
         seg, entry = store.engine.locate("results", result.spec.hash())
-        record = json.loads(seg.read_text())
+        key, ts, text = seg.read_text().split("\t", 2)
+        record = json.loads(text)
         record["result"]["n_surviving"] = 1
-        seg.write_text(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        (seg.parent / "index.log").unlink()
+        tampered = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        seg.write_text(f"{key}\t{ts}\t{tampered}\n")
         reopened = ResultStore(tmp_path / "s")
         counts = reopened.compact(force=True)
         assert counts["corrupt"] == 1
@@ -64,7 +63,7 @@ class TestFacadeCompaction:
         store.put_result(run(torus_spec()))
         store.compact(min_garbage=0.5)  # clean store: nothing to do
         assert store.counters.get("compactions") == 0
-        store.put_result(run(torus_spec()))  # now 50% garbage in one shard
+        store.put_result(run(torus_spec()))  # now 50% garbage in the log
         store.compact(min_garbage=0.5)
         assert store.counters.get("compactions") == 1
 
@@ -95,7 +94,6 @@ class TestCacheCompactCLI:
         proc = self._cli("cache", "stats", "--store", "s", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "garbage_ratio  0.0" in proc.stdout
-        assert "results/shard-" in proc.stdout  # per-shard detail rows
         assert ResultStore(tmp_path / "s").get_result(torus_spec()) == result
 
     def test_cache_compact_max_age_evicts(self, tmp_path):

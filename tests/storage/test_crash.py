@@ -1,9 +1,20 @@
-"""A stacked sweep killed between its shard batches resumes exactly.
+"""A store killed inside an append or a compaction reopens exactly.
 
-A child process runs a stacked γ sweep into a store and SIGKILLs itself
-right after the k-th per-shard batch of the stack's results is written.
-The store must then reopen clean: nothing corrupt, no key written twice,
-and a rerun computes only the trials those batches did not write.
+A child process stores stale values for some keys of a stacked γ sweep
+and supersedes them with the true ones, so a resurrected old value would
+be visible.  It then runs the sweep into the store and SIGKILLs itself
+at one of four points:
+
+* ``append`` — partway through the stack's one append, leaving a torn
+  line;
+* ``compact-write`` — partway through writing compaction's new segment;
+* ``compact-unlink`` — after the new segment is written, before the old
+  segments are unlinked;
+* ``compact-epoch`` — after the unlink, before the epoch bump.
+
+The reopened store must serve every key it holds once, with its newest
+value; count no corrupt record after ``compact(force=True)``; and give a
+rerun the storeless sweep's fingerprint.
 """
 
 import json
@@ -21,30 +32,55 @@ from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
 from repro.api.store import ResultStore
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 
-#: Runs ``run_sweep`` and kills itself once ``k`` results batches are on
-#: disk, printing the records written so far after each batch.
+#: Fills the store, supersedes 8 stale records, then dies at ``argv[3]``.
 CHILD = """
-import os, signal, sys
+import dataclasses, os, signal, sys
 from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.api.sweeps import SweepSpec, run_sweep
-from repro.storage.shard import Shard
+from repro.storage.log import RecordLog
 
-sweep_file, store_dir, k = sys.argv[1], sys.argv[2], int(sys.argv[3])
-real = Shard.append_many
-written = []
+sweep_file, store_dir, point = sys.argv[1:4]
+sweep = SweepSpec.from_json(open(sweep_file).read())
+fresh = [r for p in run_sweep(sweep, keep_results=True).points for r in p.results]
+store = ResultStore(store_dir)
+store.put_results(dataclasses.replace(r, label="stale") for r in fresh[:8])
+store.put_results(fresh[:8])
 
-def append_then_maybe_die(shard, items):
-    out = real(shard, items)
-    if shard.path.parent.name == "results":
-        written.append(len(out))
-        print(sum(written), flush=True)
-        if len(written) == k:
-            os.kill(os.getpid(), signal.SIGKILL)
-    return out
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
 
-Shard.append_many = append_then_maybe_die
-run_sweep(SweepSpec.from_json(open(sweep_file).read()), session=Session(ResultStore(store_dir)))
+def tear_results_write(start):
+    real = RecordLog._finish_write
+
+    def finish(log, fh):
+        if log.path.name != "results":
+            return real(log, fh)
+        fh.flush()  # then lose the second half of what this open wrote
+        os.ftruncate(fh.fileno(), start + (fh.tell() - start) // 2)
+        die()
+
+    RecordLog._finish_write = finish
+
+if point == "append":
+    tear_results_write(os.path.getsize(store.segment_files("results")[-1]))
+    run_sweep(sweep, session=Session(store))
+    sys.exit("the append was not torn")
+run_sweep(sweep, session=Session(store))
+if point == "compact-write":
+    tear_results_write(0)
+elif point == "compact-unlink":
+    real_unlink = os.unlink
+    os.unlink = lambda path: (
+        die() if os.path.basename(os.path.dirname(path)) == "results" else real_unlink(path)
+    )
+elif point == "compact-epoch":
+    real_epoch = RecordLog._write_epoch
+    RecordLog._write_epoch = lambda log, value: (
+        die() if log.path.name == "results" else real_epoch(log, value)
+    )
+store.compact(force=True)
+sys.exit("the compaction was not killed")
 """
 
 
@@ -64,16 +100,18 @@ def stacked_sweep() -> SweepSpec:
 
 
 def result_keys(store_dir: Path) -> Counter:
-    """Every key a results line on disk carries, with its line count."""
+    """Every key a results line on disk is framed with, with its count."""
     keys: Counter = Counter()
-    for seg in sorted((store_dir / "results").glob("shard-*/seg-*.jsonl")):
+    for seg in sorted((store_dir / "results").glob("seg-*.jsonl")):
         for line in seg.read_bytes().splitlines():
-            keys[json.loads(line)["key"]] += 1
+            keys[json.loads(line.split(b"\t", 1)[0])] += 1
     return keys
 
 
-@pytest.mark.parametrize("k", [1, 4])
-def test_killed_between_shard_batches_resumes_exactly(tmp_path, k):
+@pytest.mark.parametrize(
+    "point", ["append", "compact-write", "compact-unlink", "compact-epoch"]
+)
+def test_killed_store_reopens_with_newest_values(tmp_path, point):
     sweep = stacked_sweep()
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(sweep.to_json())
@@ -82,30 +120,37 @@ def test_killed_between_shard_batches_resumes_exactly(tmp_path, k):
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, str(sweep_file), str(store_dir), str(k)],
+        [sys.executable, "-c", CHILD, str(sweep_file), str(store_dir), point],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert child.returncode == -signal.SIGKILL, child.stderr
-    progress = [int(n) for n in child.stdout.split()]
-    assert len(progress) == k
-    written = progress[-1]
-    total = len(sweep.points()) * sweep.trials
-    assert 0 < written < total
+    fresh = [r for p in run_sweep(sweep, keep_results=True).points for r in p.results]
+    total = len(fresh)
 
-    keys = result_keys(store_dir)
-    assert sum(keys.values()) == written
-    assert max(keys.values()) == 1  # no key appears twice
     store = ResultStore(store_dir)
+    torn = point in ("append", "compact-write")
+    assert store.corrupt_entries == torn  # the healed tail, if any
+    held = [r for r in fresh if r.spec in store]
+    if point == "append":
+        assert 8 < len(held) < total  # the torn append kept only its head
+    else:
+        assert len(held) == total
+    assert len(store) == len(held)  # every key once
+    for r in fresh[:8]:
+        assert store.get_result(r.spec) == r  # never the stale value
+    for r in held:
+        assert store.get_result(r.spec) == r
+
     counts = store.compact(force=True)
     assert counts["corrupt"] == 0
-    assert counts["superseded"] == 0
-    assert len(store) == written
+    assert store.stats().corrupt == 0
+    assert result_keys(store_dir) == Counter(r.spec.hash() for r in held)
 
-    session = Session(store)
+    session = Session(ResultStore(store_dir))
     resumed = run_sweep(sweep, session=session)
-    assert session.hits == written
-    assert session.misses == total - written
+    assert session.hits == len(held)
+    assert session.misses == total - len(held)
     assert resumed.fingerprint() == run_sweep(sweep).fingerprint()
