@@ -125,6 +125,23 @@ def _convert(convert: Callable[[Any], Any], value: Any, what: str) -> Any:
         ) from exc
 
 
+def _node_ids(nodes: Any) -> Tuple[int, ...]:
+    """A record's ``surviving_nodes`` as a tuple of ints.
+
+    Any id that is not a JSON integer is a :class:`SpecError`: converting
+    ``1.5`` or ``true`` to ``1`` would give a result whose fingerprint is
+    not that of its record.
+    """
+    if isinstance(nodes, (list, tuple)):
+        wrong = set(map(type, nodes)) - {int}
+        if not wrong:
+            return tuple(nodes)
+        what = ", ".join(sorted(t.__name__ for t in wrong))
+    else:
+        what = type(nodes).__name__
+    raise SpecError(f"RunResult.surviving_nodes must be a list of integers, got {what}")
+
+
 def _reject_unknown(d: Mapping[str, Any], allowed: Tuple[str, ...], what: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
@@ -152,6 +169,12 @@ def _params_from_dict(params: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds an
+#: encoder like this one on every call; the store's hit path encodes
+#: several small values per record, so one shared encoder is kept.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace variance.
 
@@ -162,7 +185,7 @@ def canonical_json(payload: Any) -> str:
     >>> canonical_json({"b": 1, "a": [True, None]})
     '{"a":[true,null],"b":1}'
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 #: Decimal strings of the node ids seen so far: joining cached strings is
@@ -568,14 +591,33 @@ class RunResult:
         }
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RunResult":
-        d = dict(_check_mapping(d, "RunResult"))
-        d["spec"] = ScenarioSpec.from_dict(_require(d, "spec", "RunResult"))
-        d["surviving_nodes"] = tuple(int(i) for i in d.get("surviving_nodes", ()))
+    def from_dict(
+        cls,
+        d: Mapping[str, Any],
+        *,
+        spec: Optional[ScenarioSpec] = None,
+        fingerprint: Optional[str] = None,
+    ) -> "RunResult":
+        """Inverse of :meth:`to_dict`.
+
+        A caller that has already checked ``d`` may hand in what it
+        knows: ``spec``, a spec whose canonical JSON is that of
+        ``d["spec"]``, is used instead of rebuilding one, and
+        ``fingerprint``, the hash of ``d``'s canonical text, is memoised.
+        The result store passes the lookup spec and the hash of the bytes
+        it read, having checked both against the record.
+        """
+        d = _check_mapping(d, "RunResult")  # a copy
+        stored_spec = _require(d, "spec", "RunResult")
+        d["spec"] = spec if spec is not None else ScenarioSpec.from_dict(stored_spec)
+        d["surviving_nodes"] = _node_ids(d.get("surviving_nodes", ()))
         try:
-            return cls(**d)
+            result = cls(**d)
         except TypeError as exc:
             raise SpecError(f"bad RunResult dict: {exc}") from exc
+        if fingerprint is not None:
+            object.__setattr__(result, "_fingerprint", fingerprint)
+        return result
 
     def to_json(self, **kwargs: Any) -> str:
         return json.dumps(self.to_dict(), **kwargs)

@@ -39,10 +39,15 @@ Robustness properties:
   the call returns.
 * **Corrupt-entry tolerance.**  Unparseable lines are counted and skipped,
   never fatal.  Result entries additionally store the
-  :meth:`RunResult.fingerprint`; verification is *lazy* — an entry whose
-  key or recomputed fingerprint disagrees is rejected at lookup time (and
-  physically dropped by the next compaction, which re-verifies every
-  surviving record).
+  :meth:`RunResult.fingerprint`; verification is *lazy* and works on the
+  bytes read (:func:`_read_result_line`) — an entry is rejected at lookup
+  time unless its key is the lookup key, the hash of its ``result`` text
+  is the stored fingerprint, it is byte for byte what
+  :func:`_result_line` writes for the result it decodes to, and its
+  stored spec hashes to the key.  So a line re-encoded with other
+  whitespace is rejected too, though it decodes to a valid result.  A
+  rejected entry is physically dropped by the next compaction, which
+  runs the same check on every surviving record.
 * **Last-entry-wins.**  Re-running a scenario appends a fresh entry;
   superseded and corrupt lines accumulate as garbage until
   :meth:`compact` / :meth:`prune` rewrites the affected logs (automatic
@@ -60,6 +65,9 @@ Maintenance operations: :meth:`stats` (map-served), :meth:`compact`,
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +96,22 @@ def _baseline_key_str(key: BaselineKey) -> str:
     return f"{key[0]}:{key[1]}:{key[2]}"
 
 
+def _digest(data: bytes) -> str:
+    """The 16-hex-digit sha256 prefix that fingerprints and spec hashes use."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _result_frame(fingerprint: str, key: str, label: Any, seed: Any) -> Tuple[bytes, bytes]:
+    """The bytes of a results record before and after its ``result`` text."""
+    head = (
+        f'{{"fingerprint":"{fingerprint}"'
+        f',"key":{canonical_json(key)}'
+        f',"label":{canonical_json(label)}'
+        f',"result":'
+    )
+    return head.encode(), f',"seed":{canonical_json(seed)}}}\n'.encode()
+
+
 def _result_line(result: RunResult) -> bytes:
     """The results record of ``result``, spliced from its canonical text.
 
@@ -99,13 +123,60 @@ def _result_line(result: RunResult) -> bytes:
     the store.
     """
     fingerprint, text = result.fingerprint_and_text()
-    return (
-        f'{{"fingerprint":"{fingerprint}"'
-        f',"key":{canonical_json(result.spec.hash())}'
-        f',"label":{canonical_json(result.label)}'
-        f',"result":{text}'
-        f',"seed":{canonical_json(result.seed)}}}\n'
-    ).encode()
+    head, tail = _result_frame(fingerprint, result.spec.hash(), result.label, result.seed)
+    return head + text.encode() + tail
+
+
+#: What a results record holds around its ``result`` text.  JSON escapes
+#: every ``"`` inside a string, so neither marker can occur inside the
+#: key or the label before it, or the seed after it.
+_RESULT_OPEN = b',"result":'
+_SEED_OPEN = b',"seed":'
+_RESULT_FIELDS = frozenset(field.name for field in dataclasses.fields(RunResult))
+
+
+def _read_result_line(key: str, raw: bytes) -> Optional[Tuple[str, Dict[str, Any]]]:
+    """``(fingerprint, result dict)`` of a valid results record filed
+    under ``key``, or None.
+
+    Valid means: the record is byte for byte what :func:`_result_line`
+    writes for the result it decodes to, and that result's spec hashes to
+    ``key``.  So the fingerprint is the hash of the ``result`` text as
+    read, and a result rebuilt from the dict re-encodes to exactly that
+    text.  Lookups and compaction both accept a record by this check
+    alone, and it never re-encodes the node ids: the text before them
+    must be the canonical JSON of the other fields, and the ids must be
+    bare decimal digits, whose JSON is canonical already.
+    """
+    start = raw.find(_RESULT_OPEN) + len(_RESULT_OPEN)
+    end = raw.rfind(_SEED_OPEN)
+    if start < len(_RESULT_OPEN) or end < start:
+        return None
+    text = raw[start:end]
+    try:
+        fields = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(fields, dict) or fields.keys() != _RESULT_FIELDS:
+        return None
+    fingerprint = _digest(text)
+    head, tail = _result_frame(fingerprint, key, fields["label"], fields["seed"])
+    nodes = fields.pop("surviving_nodes")
+    prefix = (canonical_json(fields)[:-1] + ',"surviving_nodes":').encode()
+    fields["surviving_nodes"] = nodes
+    # The text parsed, so after the prefix come one JSON value and the
+    # closing brace: left with only "[]}" once digits and commas go, the
+    # value is a list of bare non-negative integers.
+    ids = text[len(prefix) :]
+    if (
+        raw[:start] != head
+        or raw[end:] != tail
+        or not text.startswith(prefix)
+        or ids.translate(None, b"0123456789,") != b"[]}"
+        or _digest(canonical_json(fields["spec"]).encode()) != key
+    ):
+        return None
+    return fingerprint, fields
 
 
 def _estimate_to_dict(estimate: ExpansionEstimate) -> Dict[str, Any]:
@@ -211,11 +282,15 @@ class ResultStore:
         """Every live segment file of ``kind`` (test/debug helper)."""
         return self.engine.segment_files(kind)
 
-    def _verify_record(self, kind: str, key: str, record: dict) -> bool:
+    def _verify_record(self, kind: str, key: str, raw: bytes) -> bool:
         """Compaction's integrity check — the one *eager* verification
-        pass, run only while a log is being rewritten anyway."""
+        pass, run only while a log is being rewritten anyway.  A results
+        record passes exactly when a lookup would serve it."""
         if kind == "results":
-            return self._decode_result(record) is not None
+            return _read_result_line(key, raw) is not None
+        record = StorageEngine.decode(key, raw)
+        if record is None:
+            return False
         if kind == "baselines":
             try:
                 _estimate_from_dict(record["estimate"])
@@ -242,22 +317,28 @@ class ResultStore:
     def get_result(self, spec: ScenarioSpec) -> Optional[RunResult]:
         """The stored result of ``spec``, or ``None`` on a cache miss.
 
-        Decodes (and key/fingerprint-verifies) exactly one record; a
-        verification failure rejects the entry and marks it corrupt so
-        the next compaction drops it physically.
+        Reads and decodes exactly one record, served only if it is byte
+        for byte what :meth:`put_result` writes for the result it decodes
+        to and its stored spec hashes to ``spec.hash()``
+        (:func:`_read_result_line`).  The result holds ``spec`` itself,
+        and its fingerprint is the hash of the bytes read, so neither is
+        rebuilt.  A record failing the check is rejected and marked
+        corrupt, so the next compaction drops it physically.
         """
         key = spec.hash()
         hit = self._remembered.get(key)
         if hit is not None:
             return hit
-        record = self.engine.get_record("results", key)
-        if record is None:
+        raw = self.engine.get_raw("results", key)
+        if raw is None:
             return None
-        entry = self._decode_result(record)
+        self.counters.inc("records_decoded")
+        entry = _read_result_line(key, raw)
         if entry is None:
             self.engine.discard("results", key)
             return None
-        return entry[1]
+        fingerprint, fields = entry
+        return RunResult.from_dict(fields, spec=spec, fingerprint=fingerprint)
 
     def put_result(self, result: RunResult) -> None:
         """Append ``result``; it becomes the entry served for its spec."""
@@ -270,21 +351,6 @@ class ResultStore:
         records = [(result.spec.hash(), result) for result in results]
         self.engine.append_many("results", records, _result_line)
         return len(records)
-
-    def _decode_result(self, record: Dict[str, Any]) -> Optional[Tuple[str, RunResult]]:
-        try:
-            key = record["key"]
-            result = RunResult.from_dict(record["result"])
-        except Exception:
-            return None
-        # Reject silently-corrupted values: the key must match the spec the
-        # entry claims to answer for, and the stored fingerprint must match
-        # the record content.
-        if key != result.spec.hash():
-            return None
-        if record.get("fingerprint") != result.fingerprint():
-            return None
-        return key, result
 
     def remember(self, result: RunResult) -> None:
         """Insert an *already persisted* result into the in-memory overlay.

@@ -10,12 +10,14 @@ A :class:`StorageEngine` owns one store directory and keeps each record
       baselines/
       tables/
 
-Records are stored as **raw encoded bytes** and handed back undecoded;
-the engine decodes JSON only inside :meth:`get_record` (and counts it),
-which is what keeps warm opens and membership checks free of
-per-record work.  :meth:`append_many` writes a batch to its kind's log
-under one lock, one epoch read and one file open, encoding each record
-only when its turn comes.
+Records are stored as **raw encoded bytes** and handed back undecoded
+(:meth:`get_raw`); the engine decodes JSON only inside :meth:`get_record`
+(and counts it), which is what keeps warm opens and membership checks
+free of per-record work.  The results store reads its records raw and
+checks and decodes them itself (:mod:`repro.api.store`).
+:meth:`append_many` writes a batch to its kind's log under one lock, one
+epoch read and one file open, encoding each record only when its turn
+comes.
 
 The store is a cache, not data of record: files of any other layout in
 the store directory (the single-file ``results.jsonl`` of early stores,
@@ -52,9 +54,10 @@ class StorageEngine:
         self.path.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.counters = StorageCounters()
-        #: Optional ``verify(kind, key, record) -> bool`` hook applied during
-        #: compaction (the integrity sweep) — set by the ResultStore facade.
-        self.verifier: Optional[Callable[[str, str, dict], bool]] = None
+        #: Optional ``verify(kind, key, record bytes) -> bool`` hook applied
+        #: during compaction (the integrity sweep) to each record that
+        #: :meth:`decode` accepts — set by the ResultStore facade.
+        self.verifier: Optional[Callable[[str, str, bytes], bool]] = None
         self._global_lock = FileLock(self.path / ".lock")
         self._logs: Dict[str, RecordLog] = {
             kind: RecordLog(self.path / kind, fsync=fsync, counters=self.counters)
@@ -130,14 +133,20 @@ class StorageEngine:
         if raw is None:
             return None
         self.counters.inc("records_decoded")
+        record = self.decode(key, raw)
+        if record is None:
+            self._logs[kind].discard(key)
+        return record
+
+    @staticmethod
+    def decode(key: str, raw: bytes) -> Optional[dict]:
+        """The record in ``raw`` if it parses to a dict whose ``key`` field
+        is ``key``, else None."""
         try:
             record = json.loads(raw)
-            if not isinstance(record, dict) or record.get("key") != key:
-                raise ValueError
-        except (ValueError, TypeError):
-            self._logs[kind].discard(key)
+        except (ValueError, RecursionError):
             return None
-        return record
+        return record if isinstance(record, dict) and record.get("key") == key else None
 
     def discard(self, kind: str, key: str) -> None:
         self._logs[kind].discard(key)
@@ -175,13 +184,7 @@ class StorageEngine:
             return None
 
         def verify(key: str, raw: bytes) -> bool:
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                return False
-            if not isinstance(record, dict) or record.get("key") != key:
-                return False
-            return verifier(kind, key, record)
+            return self.decode(key, raw) is not None and verifier(kind, key, raw)
 
         return verify
 

@@ -9,11 +9,15 @@ A log owns a directory with three kinds of files:
   number and deletes the old files, so a stale map held by another process
   can only ever point at a *deleted* file (a detectable failure), never
   silently at the wrong record.
-* ``epoch`` — a monotonically increasing integer, bumped by compaction and
-  ``clear``.  Writers re-read it (under the log's lock) before each append
-  and reload their in-memory state when it moved, so a process that cached
-  the layout before another process compacted it can never append to a
-  dead segment.
+* ``epoch`` — a monotonically increasing integer: compaction and ``clear``
+  set it to the number of the segment they make the append target, which
+  is above every number used before.  Writers re-read it (under the log's
+  lock) before each append and reload their in-memory state when it
+  moved, so a process that cached the layout before another process
+  compacted it can never append to a dead segment.  And a fresh open
+  appends to segment ``max(highest existing, epoch)``, so numbers stay
+  unused even after a compaction that kept nothing, or a ``clear``, left
+  no segment file behind.
 * ``.lock`` — the log's advisory :class:`~repro.util.locking.FileLock`.
 
 Opening a log scans every segment, reading only each line's frame: the
@@ -26,7 +30,8 @@ line through every reopen, tail heal and compaction.
 Every mutation runs under the lock.  Reads take no file lock at all — an
 entry is located in the in-memory map and fetched with ``os.pread``; if
 compaction raced us the segment file is gone (or short), we reload once
-and retry, and record-level key/fingerprint verification above this layer
+and retry, and the record-level check above this layer (for results: the
+key, the stored spec's hash and the fingerprint of the bytes read)
 rejects any stale bytes.
 """
 
@@ -113,6 +118,7 @@ class RecordLog:
         self.loads = 0
         self._active = 0
         self._read_fds: Dict[int, int] = {}
+        self._epoch_path = os.fspath(self.path / EPOCH_FILE)
 
     # -- derived state ---------------------------------------------------- #
 
@@ -190,18 +196,32 @@ class RecordLog:
         return total
 
     def _read_epoch(self) -> int:
+        """The epoch file's value; 0 if it is missing or unparsable.  Every
+        :meth:`get` reads it, so this is an open, a read and a close on a
+        path built once."""
         try:
-            return int((self.path / EPOCH_FILE).read_text())
+            fd = os.open(self._epoch_path, os.O_RDONLY)
+        except OSError:
+            return 0
+        try:
+            return int(os.read(fd, 64))
         except (OSError, ValueError):
             return 0
+        finally:
+            os.close(fd)
 
     def _write_epoch(self, value: int) -> None:
         tmp = self.path / f".{EPOCH_FILE}.tmp"
         try:
             tmp.write_text(str(value))
-            os.replace(tmp, self.path / EPOCH_FILE)
+            os.replace(tmp, self._epoch_path)
         except OSError:  # read-only store: epoch stays advisory
             pass
+
+    def _next_segment(self, segs: List[int]) -> int:
+        """A never-used segment number: above every existing segment, the
+        append target and the epoch on disk (see the module docstring)."""
+        return max([*segs, self._active, self._read_epoch()]) + 1
 
     @contextlib.contextmanager
     def _guard(self):
@@ -278,8 +298,8 @@ class RecordLog:
         self._corrupt_seen += corrupt - self._resident_corrupt
         self._resident_corrupt = corrupt
         self.counters.inc("corrupt", corrupt)
-        self._active = segs[-1] if segs else 0
         self._epoch = self._read_epoch()
+        self._active = max(segs[-1] if segs else 0, self._epoch)
         self._loaded = True
         self.loads += 1
 
@@ -451,9 +471,9 @@ class RecordLog:
 
         Survivors keep their **framed line bytes**, append time included —
         compaction never re-serialises a record, so fingerprints are
-        preserved bit for bit.  They are written, in log order, to the
-        segment after the highest existing one; then the old segments are
-        deleted and the epoch bumped.  A crash at any step leaves either
+        preserved bit for bit.  They are written, in log order, to a
+        never-used segment number; then the old segments are deleted and
+        the epoch set to that number.  A crash at any step leaves either
         the old segments, or old and new together (whose later copies win
         the scan), or the new segment alone.  Returns drop counts by
         reason.
@@ -465,7 +485,7 @@ class RecordLog:
             corrupt = self._resident_corrupt
             evicted = 0
             old_segs = self.segment_numbers()
-            seg = (old_segs[-1] + 1) if old_segs else self._active + 1
+            seg = self._next_segment(old_segs)
             entries: Dict[str, IndexEntry] = {}
             off = 0
             fh = None
@@ -505,9 +525,8 @@ class RecordLog:
             self._total_lines = len(entries)
             self._resident_corrupt = 0
             self._corrupt_seen = 0
-            self._active = seg
-            self._epoch += 1
-            self._write_epoch(self._epoch)
+            self._active = self._epoch = seg
+            self._write_epoch(seg)
             self.counters.inc("compactions")
             self.counters.inc("evictions", evicted)
             return {
@@ -521,7 +540,7 @@ class RecordLog:
         """Delete every segment (their numbers stay burnt)."""
         with self._guard():
             segs = self.segment_numbers()
-            next_active = (segs[-1] + 1) if segs else self._active + 1
+            next_active = self._next_segment(segs)
             self._close_fds()
             for n in segs:
                 with contextlib.suppress(OSError):
@@ -531,10 +550,9 @@ class RecordLog:
             self._total_lines = 0
             self._resident_corrupt = 0
             self._corrupt_seen = 0
-            self._active = next_active
+            self._active = self._epoch = next_active
             self._loaded = True
-            self._epoch += 1
-            self._write_epoch(self._epoch)
+            self._write_epoch(next_active)
 
     def stats(self) -> Dict[str, int]:
         self.ensure_loaded()

@@ -1,10 +1,12 @@
 """Session semantics: caching, streaming, resumability, determinism."""
 
+import dataclasses
+
 import pytest
 
 import repro.api.engine as engine
 from repro.api.session import Session
-from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, ScenarioSpec
+from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, RunResult, ScenarioSpec
 from repro.api.store import ResultStore
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.errors import SpecError
@@ -202,6 +204,41 @@ class TestRunIter:
         session = Session(tmp_path / "s")
         with pytest.raises(SpecError):
             session.run_iter([sweep(1)[0], "nope"])  # no iteration needed
+
+
+class TestWarmHitCost:
+    def test_a_hit_rebuilds_no_spec_and_encodes_no_record(self, tmp_path, monkeypatch):
+        """A fully warm 2-point × 8-trial stacked sweep hashes each trial
+        spec once (its lookup key), builds only the grid's point specs,
+        and fingerprints every result from the bytes it read."""
+        grid = dataclasses.replace(stacked_sweep(), trials=8)
+        cold = run_sweep(grid, session=Session(tmp_path / "s"))
+        calls = {"hash": 0, "from_dict": 0, "fingerprint_and_text": 0}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ScenarioSpec, "hash", spy("hash", ScenarioSpec.hash))
+        monkeypatch.setattr(
+            ScenarioSpec,
+            "from_dict",
+            classmethod(spy("from_dict", ScenarioSpec.from_dict.__func__)),
+        )
+        monkeypatch.setattr(
+            RunResult,
+            "fingerprint_and_text",
+            spy("fingerprint_and_text", RunResult.fingerprint_and_text),
+        )
+        _forbid_execution(monkeypatch)
+        session = Session(ResultStore(tmp_path / "s"))
+        warm = run_sweep(grid, session=session)
+        assert (session.hits, session.misses) == (16, 0)
+        assert warm.fingerprint() == cold.fingerprint()
+        assert calls == {"hash": 16, "from_dict": 2, "fingerprint_and_text": 0}
 
 
 class TestWriteGranularity:

@@ -199,6 +199,29 @@ class TestValidation:
         with pytest.raises(SpecError):
             ScenarioSpec.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "nodes", [["x"], [None], 5, [1.5], [True], [1, 2.0], [[1]], {"1": 1}, "12"]
+    )
+    def test_wrong_typed_node_ids_rejected(self, nodes):
+        """Any surviving-node id that is not a JSON integer is a SpecError,
+        never a TypeError/ValueError escaping, nor a silent conversion
+        (``1.5`` or ``true`` read as ``1`` would change the fingerprint)."""
+        spec = ScenarioSpec(graph=GraphSpec("torus", {"sides": 4, "d": 2}), seed=1)
+        result = RunResult(
+            spec=spec, spec_hash=spec.hash(), seed=1, label="", graph_name="T",
+            n_original=16, mode="node", fault_kind="none", f=0,
+            fault_fraction=0.0, faulty_components=0, largest_faulty_component=0,
+            n_surviving=2, surviving_fraction=0.125, n_culled_sets=0,
+            prune_iterations=0, baseline_expansion=1.0, baseline_exact=True,
+            surviving_expansion=None, expansion_retention=None,
+            surviving_nodes=(1, 2), epsilon=0.1,
+        )
+        d = result.to_dict()
+        assert RunResult.from_dict(d) == result
+        d["surviving_nodes"] = nodes
+        with pytest.raises(SpecError, match="surviving_nodes"):
+            RunResult.from_dict(d)
+
     def test_non_json_param_rejected_at_construction(self):
         class Opaque:
             pass

@@ -1,5 +1,6 @@
 """ResultStore behaviour: round-trips, corruption tolerance, maintenance."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -167,6 +168,114 @@ class TestResultLineEncoding:
             cached = store.get_result(result.spec)
         assert cached == result
         assert cached.fingerprint() == result.fingerprint() == fingerprint
+
+
+def _stored_line(result):
+    """The results record ``put_result`` writes for ``result``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(tmp)
+        store.put_result(result)
+        return store.engine.get_raw("results", result.spec.hash())
+
+
+class TestHitContract:
+    """A hit is served from the bytes read: the caller's spec, the hash of
+    the stored ``result`` text, and only for a byte-exact record."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_results())
+    def test_hit_reuses_the_spec_and_the_bytes_read(self, result):
+        spec = dataclasses.replace(result.spec)  # equal, but not the stored object
+        with tempfile.TemporaryDirectory() as tmp:
+            ResultStore(tmp).put_result(result)
+            store = ResultStore(tmp)
+            raw = store.engine.get_raw("results", spec.hash())
+            cached = store.get_result(spec)
+        assert cached == result
+        assert cached.spec is spec
+        assert cached.fingerprint() == dataclasses.replace(cached).fingerprint()
+        fingerprint, text = cached.fingerprint_and_text()
+        start = raw.index(b',"result":') + len(b',"result":')
+        assert text.encode() == raw[start : raw.rindex(b',"seed":')]
+        assert fingerprint == result.fingerprint()
+
+    @staticmethod
+    def _case(case):
+        """``(lookup spec, record filed under its hash)`` for one case.
+
+        Each forged record but ``whitespace`` and ``stale-fingerprint``
+        stores the fingerprint of its own ``result`` text, so that a
+        recomputed fingerprint cannot be what rejects it."""
+        real = run(torus_spec(seed=3))
+        a = ScenarioSpec(
+            graph=real.spec.graph, fault=FaultSpec("random_node", {"p": 1.0}), seed=3
+        )
+        result = dataclasses.replace(real, spec=a, spec_hash=a.hash())
+        content = result.to_dict()
+        text = canonical_json(content)
+
+        def framed(text, key=a.hash(), seed=result.seed, fingerprint=None):
+            fingerprint = fingerprint or hashlib.sha256(text.encode()).hexdigest()[:16]
+            head = {"fingerprint": fingerprint, "key": key, "label": result.label}
+            return (
+                f'{canonical_json(head)[:-1]},"result":{text}'
+                f',"seed":{canonical_json(seed)}}}\n'
+            ).encode()
+
+        line = _stored_line(result)
+        assert framed(text) == line
+        b = torus_spec(seed=4)
+        a_int = dataclasses.replace(a, fault=FaultSpec("random_node", {"p": 1}))
+        assert a_int == a and a_int.hash() != a.hash()  # equal once decoded
+        ids_at = text.index('"surviving_nodes":')
+        # the canonical text with its first two fields swapped: same bytes
+        # count, same decoded dict
+        first, second, *rest = sorted(content)
+        unsorted = {name: content[name] for name in (second, first, *rest)}
+        cases = {
+            "valid": (a, line),
+            "other-key": (b, framed(text, key=b.hash())),
+            "int-vs-float": (a_int, framed(text, key=a_int.hash())),
+            "whitespace": (a, json.dumps(json.loads(line)).encode() + b"\n"),
+            "stale-fingerprint": (a, framed(text, fingerprint="0" * 16)),
+            "record-seed": (a, framed(text, seed=result.seed + 1)),
+            "unsorted-fields": (a, framed(json.dumps(unsorted, separators=(",", ":")))),
+            "spaced-ids": (a, framed(text[:ids_at] + text[ids_at:].replace(",", ", "))),
+            "missing-field": (
+                a,
+                framed(canonical_json({k: v for k, v in content.items() if k != "epsilon"})),
+            ),
+        }
+        return cases[case]
+
+    @pytest.mark.parametrize(
+        "case, served",
+        [("valid", True)]
+        + [
+            (forged, False)
+            for forged in (
+                "other-key",
+                "int-vs-float",
+                "whitespace",
+                "stale-fingerprint",
+                "record-seed",
+                "unsorted-fields",
+                "spaced-ids",
+                "missing-field",
+            )
+        ],
+    )
+    def test_lookup_serves_exactly_what_compaction_keeps(self, tmp_path, case, served):
+        spec, line = self._case(case)
+        path = tmp_path / "store"
+        ResultStore(path).engine.append_raw("results", spec.hash(), line)
+        store = ResultStore(path)
+        assert (store.get_result(spec) is not None) is served
+        assert store.corrupt_entries == (0 if served else 1)
+        # compaction's own verify pass, on an instance that never looked up
+        counts = ResultStore(path).compact(force=True)
+        assert (counts["kept"], counts["corrupt"]) == ((1, 0) if served else (0, 1))
+        assert (spec in ResultStore(path)) is served
 
 
 class TestOlderLayout:

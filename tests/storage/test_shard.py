@@ -145,6 +145,24 @@ class TestRotation:
         log.append("late", record("late"))
         assert {int(p.stem.split("-")[1]) for p in log.segment_files()} == after
 
+    @pytest.mark.parametrize("empty", ["compact", "clear"])
+    def test_numbers_survive_a_restart_with_no_segment_left(self, tmp_path, empty):
+        """A compaction that kept nothing, or a clear, leaves no segment
+        file; a fresh open must still append above every number used."""
+        used = set()
+        for round_ in range(3):
+            log = RecordLog(tmp_path / "s")  # a fresh process, in spirit
+            log.append(f"k{round_}", record(f"k{round_}"))
+            (seg,) = log.segment_files()
+            number = int(seg.stem.split("-")[1])
+            assert number > max(used, default=-1)
+            used.add(number)
+            if empty == "compact":
+                assert log.compact(max_age_s=-1)["evicted"] == 1
+            else:
+                log.clear()
+            assert log.segment_files() == []
+
 
 class TestEpochInvalidation:
     def test_stale_writer_reloads_after_foreign_compaction(self, tmp_path):
