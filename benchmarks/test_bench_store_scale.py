@@ -42,14 +42,17 @@ def _synthetic_results(n):
 
 def _linear_scan(store):
     """The legacy cold-open cost model: decode + key-check + fingerprint-
-    verify every record (what ``ResultStore`` did before the engine)."""
+    verify every record (what ``ResultStore`` did before the engine).
+    The stored record holds no spec, so each is rebuilt from the seed the
+    record names, as the legacy open rebuilt it from the stored dict."""
     import json
 
     n = 0
     for segment in store.segment_files("results"):
         for line in segment.read_bytes().splitlines():
             record = json.loads(line.split(b"\t", 2)[2])  # after the frame
-            result = RunResult.from_dict(record["result"])
+            fields = record["result"]
+            result = RunResult.from_record(_base_spec(fields["seed"]), fields)
             assert record["key"] == result.spec.hash()
             assert record["fingerprint"] == result.fingerprint()
             n += 1

@@ -242,7 +242,6 @@ def _package(spec: ScenarioSpec, report: FaultToleranceReport) -> RunResult:
     retention = report.expansion_retention
     return RunResult(
         spec=spec,
-        spec_hash=spec.hash(),
         seed=spec.seed,
         label=spec.label,
         graph_name=report.scenario.original.name,

@@ -169,7 +169,7 @@ class Session:
         for key, estimate in zip(missing, estimates):
             self._baselines[key] = estimate
             if self.store is not None:
-                self.store.put_baseline(key, estimate)
+                self.store.put_baseline(key, estimate, replace=self.refresh)
 
     def _serve(
         self, specs: Iterable[ScenarioSpec], compute: _Compute

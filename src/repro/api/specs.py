@@ -18,15 +18,22 @@ string names live in :mod:`repro.api.registry`.
 :class:`RunResult` is the structured outcome of one executed scenario, with
 provenance (spec hash, seed).  It holds nothing time-dependent, so two
 runs of the same ``(spec, seed)`` pair give equal records with the same
-:meth:`~RunResult.fingerprint`.
+:meth:`~RunResult.fingerprint`.  It has a readable dict form
+(:meth:`~RunResult.to_dict`, with the nested spec and the node ids) and a
+stored one (:meth:`~RunResult.record`, flat, with the surviving set as a
+base64 bitmap and no spec), which the result store files under the spec
+hash and the fingerprint hashes.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..errors import SpecError
 
@@ -36,6 +43,9 @@ __all__ = [
     "AnalysisSpec",
     "ScenarioSpec",
     "RunResult",
+    "RECORD_FIELDS",
+    "bitmap_bytes",
+    "bitmap_text",
     "canonical_json",
     "spec_hash",
 ]
@@ -188,25 +198,62 @@ def canonical_json(payload: Any) -> str:
     return _CANONICAL_ENCODER.encode(payload)
 
 
-#: Decimal strings of the node ids seen so far: joining cached strings is
-#: several times faster than json's integer encoding, and a record's node
-#: list is most of its fingerprinted bytes.  Ids from ``_MAX_CACHED_ID`` up
-#: (which bounds the cache) take json's path.
-_ID_STRINGS: Dict[int, str] = {}
-_MAX_CACHED_ID = 1 << 16
+def bitmap_text(packed: bytes) -> str:
+    """The stored text of a surviving set from its packed little-endian
+    bitmap (bit ``i`` set when node ``i`` survives): base64 of the bytes
+    with trailing zero bytes cut, so each set has exactly one text and the
+    empty set is ``""``.
+
+    >>> bitmap_text(bytes([0b101, 0, 0]))   # nodes 0 and 2
+    'BQ=='
+    """
+    return base64.b64encode(packed.rstrip(b"\0")).decode("ascii")
 
 
-def _id_list_json(ids: list) -> str:
-    """``canonical_json(ids)`` for a record's node ids (Python ints)."""
-    last = ids[-1] if ids else -1
-    if type(last) is int and 0 <= last < _MAX_CACHED_ID:
-        try:
-            return "[" + ",".join(map(_ID_STRINGS.__getitem__, ids)) + "]"
-        except KeyError:  # an id not cached yet (or not a small int at all)
-            if all(type(i) is int and 0 <= i < _MAX_CACHED_ID for i in ids):
-                _ID_STRINGS.update((i, str(i)) for i in ids)
-                return _id_list_json(ids)
-    return canonical_json(ids)
+def bitmap_bytes(text: Any) -> Optional[bytes]:
+    """The packed bitmap a stored bitmap text encodes, or None unless
+    ``text`` is exactly what :func:`bitmap_text` writes for it (canonical
+    base64, no trailing zero byte)."""
+    if not isinstance(text, str):
+        return None
+    try:
+        packed = base64.b64decode(text)
+    except ValueError:  # bad padding, or not ASCII
+        return None
+    if base64.b64encode(packed).decode("ascii") != text or packed[-1:] == b"\0":
+        return None
+    return packed
+
+
+def _bitmap_nodes(text: str) -> Tuple[int, ...]:
+    """The node ids of a checked bitmap text, ascending."""
+    bits = np.unpackbits(
+        np.frombuffer(base64.b64decode(text), dtype=np.uint8), bitorder="little"
+    )
+    return tuple(np.flatnonzero(bits).tolist())
+
+
+def _nodes_bitmap(nodes: Tuple[int, ...], n_original: Any) -> str:
+    """The bitmap text of a surviving-node tuple, which must be strictly
+    increasing ints in ``range(n_original)`` (the bound keeps a bogus id
+    from sizing a huge bitmap)."""
+    ids = np.array(nodes)
+    if not len(ids):
+        return ""
+    if (
+        ids.ndim != 1
+        or ids.dtype.kind not in "iu"
+        or ids[0] < 0
+        or not ids[-1] < n_original
+        or (len(ids) > 1 and not (ids[1:] > ids[:-1]).all())
+    ):
+        raise SpecError(
+            "RunResult.surviving_nodes must be strictly increasing ints in "
+            f"range(n_original={n_original!r}) to be stored"
+        )
+    bits = np.zeros(int(ids[-1]) + 1, dtype=bool)
+    bits[ids] = True
+    return bitmap_text(np.packbits(bits, bitorder="little").tobytes())
 
 
 def spec_hash(spec: "GraphSpec | FaultSpec | AnalysisSpec | ScenarioSpec") -> str:
@@ -532,11 +579,19 @@ class RunResult:
     All fields are plain JSON types so results serialise as easily as the
     specs that produced them.  ``surviving_nodes`` are node ids of the
     *original* network, so post-processing can rebuild ``H`` via
-    ``graph.subgraph(...)`` without re-running the pipeline.
+    ``graph.subgraph(...)`` without re-running the pipeline; to be stored
+    or fingerprinted they must be strictly increasing ints in
+    ``range(n_original)`` (every engine result's are).
+
+    A result has two forms.  :meth:`to_dict` is the readable one: the
+    nested spec and the node ids, as ``repro run-batch`` prints and the
+    service's event pipes carry.  :meth:`record` is the stored one, which
+    the store files under :attr:`spec_hash` and :meth:`fingerprint` hashes:
+    every field but the spec, plus the spec hash, with the node ids packed
+    into a bitmap.
     """
 
     spec: ScenarioSpec
-    spec_hash: str
     seed: Optional[int]
     label: str
     graph_name: str
@@ -559,6 +614,12 @@ class RunResult:
     expansion_retention: Optional[float]
     surviving_nodes: Tuple[int, ...]
     epsilon: float
+
+    @property
+    def spec_hash(self) -> str:
+        """The spec's content hash (:meth:`ScenarioSpec.hash`), so a result
+        can never disagree with its spec."""
+        return self.spec.hash()
 
     def to_dict(self) -> Dict[str, Any]:
         # Built field by field (declaration order) rather than through
@@ -591,33 +652,19 @@ class RunResult:
         }
 
     @classmethod
-    def from_dict(
-        cls,
-        d: Mapping[str, Any],
-        *,
-        spec: Optional[ScenarioSpec] = None,
-        fingerprint: Optional[str] = None,
-    ) -> "RunResult":
-        """Inverse of :meth:`to_dict`.
-
-        A caller that has already checked ``d`` may hand in what it
-        knows: ``spec``, a spec whose canonical JSON is that of
-        ``d["spec"]``, is used instead of rebuilding one, and
-        ``fingerprint``, the hash of ``d``'s canonical text, is memoised.
-        The result store passes the lookup spec and the hash of the bytes
-        it read, having checked both against the record.
-        """
+    def from_dict(cls, d: Mapping[str, Any]) -> "RunResult":
+        """Inverse of :meth:`to_dict`; a ``spec_hash`` that is not the
+        spec's own hash is a :class:`SpecError`."""
         d = _check_mapping(d, "RunResult")  # a copy
-        stored_spec = _require(d, "spec", "RunResult")
-        d["spec"] = spec if spec is not None else ScenarioSpec.from_dict(stored_spec)
+        d["spec"] = ScenarioSpec.from_dict(_require(d, "spec", "RunResult"))
+        if _require(d, "spec_hash", "RunResult") != d["spec"].hash():
+            raise SpecError("RunResult.spec_hash is not the hash of its spec")
+        del d["spec_hash"]
         d["surviving_nodes"] = _node_ids(d.get("surviving_nodes", ()))
         try:
-            result = cls(**d)
+            return cls(**d)
         except TypeError as exc:
             raise SpecError(f"bad RunResult dict: {exc}") from exc
-        if fingerprint is not None:
-            object.__setattr__(result, "_fingerprint", fingerprint)
-        return result
 
     def to_json(self, **kwargs: Any) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -626,9 +673,52 @@ class RunResult:
     def from_json(cls, payload: str) -> "RunResult":
         return cls.from_dict(json.loads(payload))
 
+    def record(self) -> Dict[str, Any]:
+        """The stored form (keys :data:`RECORD_FIELDS`): every field but
+        ``spec`` and ``surviving_nodes``, plus ``spec_hash`` and
+        ``surviving``, the :func:`bitmap_text` of the surviving set.
+
+        Raises :class:`SpecError` unless ``surviving_nodes`` is strictly
+        increasing ints in ``range(n_original)``.
+        """
+        surviving = getattr(self, "_surviving", None)
+        if surviving is None:
+            surviving = _nodes_bitmap(self.surviving_nodes, self.n_original)
+            object.__setattr__(self, "_surviving", surviving)
+        d = {name: getattr(self, name) for name in _RECORD_SCALARS}
+        d["spec_hash"] = self.spec.hash()
+        d["surviving"] = surviving
+        return d
+
+    @classmethod
+    def from_record(cls, spec: ScenarioSpec, record: Dict[str, Any]) -> "RunResult":
+        """Inverse of :meth:`record` for the spec ``record`` was filed
+        under.  ``record`` must already be checked (the store's line check
+        does that) and is consumed."""
+        surviving = record.pop("surviving")
+        del record["spec_hash"]
+        result = cls(spec=spec, surviving_nodes=_bitmap_nodes(surviving), **record)
+        return result.memoise(surviving=surviving)
+
+    def memoise(
+        self, *, fingerprint: Optional[str] = None, surviving: Optional[str] = None
+    ) -> "RunResult":
+        """Hand the result values its caller already derived from its
+        content — the :meth:`fingerprint`, or the surviving set's
+        :func:`bitmap_text` — so they are not derived again; returns self.
+
+        The store passes the hash of the bytes a hit read, the batched
+        engine the bitmap of its alive-mask row.
+        """
+        if fingerprint is not None:
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        if surviving is not None:
+            object.__setattr__(self, "_surviving", surviving)
+        return self
+
     def fingerprint(self) -> str:
-        """Content hash of the record — identical ``(spec, seed)`` runs
-        produce identical fingerprints.
+        """Content hash of the stored record — identical ``(spec, seed)``
+        runs produce identical fingerprints.
 
         Memoised: the record is frozen, so the hash is a pure function of
         the content (the sweep layer and the store both fingerprint every
@@ -640,21 +730,13 @@ class RunResult:
         return cached
 
     def fingerprint_and_text(self) -> Tuple[str, str]:
-        """``(fingerprint, text)``: the record's canonical text — the
-        canonical JSON of :meth:`to_dict` — and its hash, from one
-        encoding.
+        """``(fingerprint, text)``: the canonical JSON of :meth:`record`
+        and its sha256, cut to 16 hex digits.
 
-        The store splices its results line from this text instead of
-        encoding the record a second time.  Only the fingerprint is
-        memoised: the text is mostly the surviving node ids (about 3.7 KB
-        per trial of the canonical sweep), so callers drop it once used.
+        The store writes this text as the ``result`` of the line, so a
+        result is encoded once on its way to disk.
         """
-        d = self.to_dict()
-        nodes = d.pop("surviving_nodes")
-        # canonical_json(d) with the node list put back by hand: it is the
-        # last key in sorted order, and most of the record's bytes
-        text = canonical_json(d)[:-1] + ',"surviving_nodes":'
-        text += _id_list_json(nodes) + "}"
+        text = canonical_json(self.record())
         value = getattr(self, "_fingerprint", None)
         if value is None:
             value = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -683,3 +765,13 @@ class RunResult:
                 else "n/a"
             ),
         }
+
+
+#: The fields a stored record holds as they are: all but the spec and the
+#: node tuple.
+_RECORD_SCALARS = tuple(
+    f.name for f in fields(RunResult) if f.name not in ("spec", "surviving_nodes")
+)
+#: The keys of :meth:`RunResult.record`: those fields, the spec hash and
+#: the surviving bitmap.
+RECORD_FIELDS = frozenset(_RECORD_SCALARS + ("spec_hash", "surviving"))

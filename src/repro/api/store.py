@@ -12,10 +12,14 @@ stored:
   by the scenario's content hash (:meth:`ScenarioSpec.hash`, which covers
   graph + fault + analysis + seed).  The determinism contract — identical
   ``(spec, seed)`` ⇒ identical result — is what makes the key sound: a hit
-  can be substituted for execution byte-for-byte.  Each record is spliced
-  from the result's canonical text, the one its fingerprint hashes, so a
-  result is serialised once on the way in (:func:`_result_line`); the
-  record is byte-identical to the JSON encoding of the record dict.
+  can be substituted for execution byte-for-byte.  A line is
+  ``{"fingerprint":...,"key":...,"result":<text>}`` where the text is the
+  canonical JSON of :meth:`RunResult.record`: the scalar fields, the spec
+  hash and the surviving set as a base64 packed bitmap, and no spec.  The
+  reader holds the spec it looks up, so the hash in the text, checked
+  against the key, is all that ties the record to its spec.  The text is
+  the one the fingerprint hashes, so a result is serialised once on the
+  way in (:func:`_result_line`).
 * ``baselines`` — fault-free :class:`ExpansionEstimate`s keyed by
   ``(GraphSpec.key(), mode, exact_threshold)``, so a warm store skips even
   the baseline phase of a batch.
@@ -41,13 +45,14 @@ Robustness properties:
   never fatal.  Result entries additionally store the
   :meth:`RunResult.fingerprint`; verification is *lazy* and works on the
   bytes read (:func:`_read_result_line`) — an entry is rejected at lookup
-  time unless its key is the lookup key, the hash of its ``result`` text
-  is the stored fingerprint, it is byte for byte what
-  :func:`_result_line` writes for the result it decodes to, and its
-  stored spec hashes to the key.  So a line re-encoded with other
-  whitespace is rejected too, though it decodes to a valid result.  A
-  rejected entry is physically dropped by the next compaction, which
-  runs the same check on every surviving record.
+  time unless its frame is the writer's for the lookup key and the hash
+  of its ``result`` text, the text is the canonical JSON of a record with
+  exactly the record's fields, its ``spec_hash`` is the key, and its
+  bitmap text is canonical.  So a line re-encoded with other whitespace
+  is rejected too, though it decodes to a valid result, and so is every
+  line of an earlier record layout.  A rejected entry is physically
+  dropped by the next compaction, which runs the same check on every
+  surviving record.
 * **Last-entry-wins.**  Re-running a scenario appends a fresh entry;
   superseded and corrupt lines accumulate as garbage until
   :meth:`compact` / :meth:`prune` rewrites the affected logs (automatic
@@ -57,7 +62,10 @@ The store is a cache, not data of record: a directory holding files of
 an older layout (single ``results.jsonl``/``baselines.jsonl``/
 ``tables.jsonl`` files at the store root, or the ``engine.json`` and
 ``shard-*`` directories of the hash-sharded layout) opens as an empty
-store and those files are left untouched.
+store and those files are left untouched.  Results lines of the earlier
+record layout (a nested spec and a node-id list in every line) fail the
+line check: each is a miss, counted corrupt, and dropped by the next
+compaction, so such a store goes cold and refills as sweeps run.
 
 Maintenance operations: :meth:`stats` (map-served), :meth:`compact`,
 :meth:`prune`, :meth:`clear`.
@@ -65,7 +73,6 @@ Maintenance operations: :meth:`stats` (map-served), :meth:`compact`,
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -78,7 +85,7 @@ import numpy as np
 from ..expansion.estimate import ExpansionEstimate
 from ..storage import StorageEngine
 from ..util.locking import FileLock
-from .specs import RunResult, ScenarioSpec, canonical_json
+from .specs import RECORD_FIELDS, RunResult, ScenarioSpec, bitmap_bytes, canonical_json
 
 __all__ = ["BaselineKey", "ResultStore", "StoreStats", "baseline_key"]
 
@@ -96,87 +103,58 @@ def _baseline_key_str(key: BaselineKey) -> str:
     return f"{key[0]}:{key[1]}:{key[2]}"
 
 
-def _digest(data: bytes) -> str:
-    """The 16-hex-digit sha256 prefix that fingerprints and spec hashes use."""
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _result_frame(fingerprint: str, key: str, label: Any, seed: Any) -> Tuple[bytes, bytes]:
-    """The bytes of a results record before and after its ``result`` text."""
-    head = (
-        f'{{"fingerprint":"{fingerprint}"'
-        f',"key":{canonical_json(key)}'
-        f',"label":{canonical_json(label)}'
-        f',"result":'
-    )
-    return head.encode(), f',"seed":{canonical_json(seed)}}}\n'.encode()
+def _result_head(fingerprint: str, key: str) -> bytes:
+    """The bytes of a results line before its ``result`` text."""
+    return f'{{"fingerprint":"{fingerprint}","key":{canonical_json(key)},"result":'.encode()
 
 
 def _result_line(result: RunResult) -> bytes:
-    """The results record of ``result``, spliced from its canonical text.
+    """The results line of ``result``, spliced from its canonical text.
 
     Byte-identical to ``StorageEngine.encode`` of the record dict
-    ``{"key": spec hash, "seed", "label", "fingerprint", "result":
-    result.to_dict()}``: the top-level keys are written in sorted order,
-    and the ``result`` value is the text the fingerprint hashes.  So the
-    record is encoded once, not once for the fingerprint and again for
-    the store.
+    ``{"fingerprint", "key": spec hash, "result": result.record()}``: the
+    keys are written in sorted order, and the ``result`` value is the
+    text the fingerprint hashes.  So the record is encoded once, not once
+    for the fingerprint and again for the store.
     """
     fingerprint, text = result.fingerprint_and_text()
-    head, tail = _result_frame(fingerprint, result.spec.hash(), result.label, result.seed)
-    return head + text.encode() + tail
-
-
-#: What a results record holds around its ``result`` text.  JSON escapes
-#: every ``"`` inside a string, so neither marker can occur inside the
-#: key or the label before it, or the seed after it.
-_RESULT_OPEN = b',"result":'
-_SEED_OPEN = b',"seed":'
-_RESULT_FIELDS = frozenset(field.name for field in dataclasses.fields(RunResult))
+    return _result_head(fingerprint, result.spec.hash()) + text.encode() + b"}\n"
 
 
 def _read_result_line(key: str, raw: bytes) -> Optional[Tuple[str, Dict[str, Any]]]:
-    """``(fingerprint, result dict)`` of a valid results record filed
-    under ``key``, or None.
+    """``(fingerprint, record)`` of a valid results line filed under
+    ``key``, or None.  Lookups serve a line, and compaction keeps it,
+    exactly when this accepts it.
 
-    Valid means: the record is byte for byte what :func:`_result_line`
-    writes for the result it decodes to, and that result's spec hashes to
-    ``key``.  So the fingerprint is the hash of the ``result`` text as
-    read, and a result rebuilt from the dict re-encodes to exactly that
-    text.  Lookups and compaction both accept a record by this check
-    alone, and it never re-encodes the node ids: the text before them
-    must be the canonical JSON of the other fields, and the ids must be
-    bare decimal digits, whose JSON is canonical already.
+    Valid means: the line is byte for byte what :func:`_result_line`
+    writes for the record it holds, and that record is filed under its
+    own spec hash.  So the bytes before the text are the writer's frame
+    for ``key`` and the sha256 of the text; the text parses to a dict with
+    exactly the :data:`~repro.api.specs.RECORD_FIELDS` and is that dict's
+    canonical JSON; its ``spec_hash`` is ``key``; and its bitmap text is
+    canonical (:func:`~repro.api.specs.bitmap_bytes`).  A line of any
+    earlier record layout fails the check, so an old store goes cold.
     """
-    start = raw.find(_RESULT_OPEN) + len(_RESULT_OPEN)
-    end = raw.rfind(_SEED_OPEN)
-    if start < len(_RESULT_OPEN) or end < start:
+    if not raw.endswith(b"}\n"):
         return None
-    text = raw[start:end]
+    start = len(_result_head("", key)) + 16  # the fingerprint's 16 hex digits
+    text = raw[start:-2]
+    fingerprint = hashlib.sha256(text).hexdigest()[:16]
+    if raw[:start] != _result_head(fingerprint, key):
+        return None
     try:
-        fields = json.loads(text)
+        record = json.loads(text)
     except (ValueError, RecursionError):
         return None
-    if not isinstance(fields, dict) or fields.keys() != _RESULT_FIELDS:
-        return None
-    fingerprint = _digest(text)
-    head, tail = _result_frame(fingerprint, key, fields["label"], fields["seed"])
-    nodes = fields.pop("surviving_nodes")
-    prefix = (canonical_json(fields)[:-1] + ',"surviving_nodes":').encode()
-    fields["surviving_nodes"] = nodes
-    # The text parsed, so after the prefix come one JSON value and the
-    # closing brace: left with only "[]}" once digits and commas go, the
-    # value is a list of bare non-negative integers.
-    ids = text[len(prefix) :]
     if (
-        raw[:start] != head
-        or raw[end:] != tail
-        or not text.startswith(prefix)
-        or ids.translate(None, b"0123456789,") != b"[]}"
-        or _digest(canonical_json(fields["spec"]).encode()) != key
+        not isinstance(record, dict)
+        or record.keys() != RECORD_FIELDS
+        or record["spec_hash"] != key
+        or canonical_json(record).encode() != text
+        or bitmap_bytes(record["surviving"]) is None
     ):
         return None
-    return fingerprint, fields
+    return fingerprint, record
 
 
 def _estimate_to_dict(estimate: ExpansionEstimate) -> Dict[str, Any]:
@@ -317,12 +295,11 @@ class ResultStore:
     def get_result(self, spec: ScenarioSpec) -> Optional[RunResult]:
         """The stored result of ``spec``, or ``None`` on a cache miss.
 
-        Reads and decodes exactly one record, served only if it is byte
-        for byte what :meth:`put_result` writes for the result it decodes
-        to and its stored spec hashes to ``spec.hash()``
-        (:func:`_read_result_line`).  The result holds ``spec`` itself,
-        and its fingerprint is the hash of the bytes read, so neither is
-        rebuilt.  A record failing the check is rejected and marked
+        Reads and checks exactly one line (:func:`_read_result_line`).
+        The hit holds ``spec`` itself, the fields of the record, and the
+        node tuple decoded from its bitmap; its fingerprint is the hash of
+        the bytes read.  No spec is rebuilt or re-hashed and no node list
+        is parsed.  A line failing the check is rejected and marked
         corrupt, so the next compaction drops it physically.
         """
         key = spec.hash()
@@ -337,8 +314,8 @@ class ResultStore:
         if entry is None:
             self.engine.discard("results", key)
             return None
-        fingerprint, fields = entry
-        return RunResult.from_dict(fields, spec=spec, fingerprint=fingerprint)
+        fingerprint, record = entry
+        return RunResult.from_record(spec, record).memoise(fingerprint=fingerprint)
 
     def put_result(self, result: RunResult) -> None:
         """Append ``result``; it becomes the entry served for its spec."""
@@ -400,13 +377,20 @@ class ResultStore:
             self.engine.discard("baselines", key_str)
             return None
 
-    def put_baseline(self, key: BaselineKey, estimate: ExpansionEstimate) -> None:
+    def put_baseline(
+        self, key: BaselineKey, estimate: ExpansionEstimate, *, replace: bool = False
+    ) -> None:
+        """Store a fault-free estimate unless one is on disk for ``key``,
+        also when another process wrote it since this store was opened:
+        two service workers may compute the same baseline at once, and the
+        estimate is a pure function of the key, so the first line stands.
+        ``replace=True`` appends in any case (a refresh rebuild)."""
         key_str = _baseline_key_str(key)
-        self.engine.append(
-            "baselines",
-            key_str,
-            {"key": key_str, "estimate": _estimate_to_dict(estimate)},
-        )
+        record = {"key": key_str, "estimate": _estimate_to_dict(estimate)}
+        if replace:
+            self.engine.append("baselines", key_str, record)
+        else:
+            self.engine.append_new("baselines", key_str, record)
 
     # -- generic table payloads ----------------------------------------- #
 

@@ -735,6 +735,53 @@ _ALLOCATORS: Dict[str, type] = {
 
 _SEED_POLICIES = ("scenario", "fault")
 
+#: The constants of numpy's ``SeedSequence`` (``bit_generator.pyx``).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _n_words(value: int) -> int:
+    """How many uint32 words ``SeedSequence`` splits an int entropy into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _spawned_seeds(entropy: int, key: Tuple[int, ...], trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=key + (t,)).generate_state(1,
+    np.uint64)[0]`` for every ``t`` in ``trials`` (uint32), at once.
+
+    The entropy words are mixed in order, and with ``SeedSequence``'s
+    4-word pool and a non-empty spawn key every word after the fourth
+    (``t`` among them) is folded into each pool word by one ``hashmix``
+    and one ``mix``.  So the pool of ``SeedSequence(entropy,
+    spawn_key=key)`` is the state before ``t``, and only that last fold
+    and the two-word ``generate_state`` run here, in uint32 arithmetic
+    over all trials.  ``hashmix``'s multiplier has advanced once per
+    earlier fold: 4 to fill the pool, 12 to cross-mix it and 4 per word
+    past the fourth.
+    """
+    pool = np.random.SeedSequence(entropy, spawn_key=key).pool
+    words = max(4, _n_words(entropy)) + sum(_n_words(k) for k in key)
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _MASK32
+    with np.errstate(over="ignore"):
+        state = []
+        for word in pool[:2]:  # generate_state(1, uint64) reads two words
+            value = trials ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_A & _MASK32
+            value *= np.uint32(hash_const)
+            value ^= value >> np.uint32(16)
+            mixed = np.uint32(_MIX_MULT_L) * word - np.uint32(_MIX_MULT_R) * value
+            state.append(mixed ^ mixed >> np.uint32(16))
+        hash_const = _INIT_B
+        out = []
+        for word in state:
+            value = word ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value *= np.uint32(hash_const)
+            out.append((value ^ value >> np.uint32(16)).astype(np.uint64))
+    return out[0] | out[1] << np.uint64(32)
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -747,6 +794,12 @@ class SweepPoint:
     #: computing it costs a canonical-JSON serialisation, so it is done once
     #: per point, not once per trial (excluded from equality).
     _seed_keys: Dict[str, str] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    #: Per-(seed policy, sweep seed) memo of the seeds of trials
+    #: ``[0, trials)``, derived in one vectorised step (excluded from
+    #: equality).
+    _trial_seeds: Dict[Tuple[str, int], List[int]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -939,15 +992,27 @@ class SweepSpec:
         that two grid points with identical coordinates — e.g. clamped
         probability levels that collide — are independent Monte-Carlo
         replicas rather than bit-identical copies reported as independent.
+
+        The seeds of trials ``[0, trials)`` are derived together, bit for
+        bit as that ``SeedSequence`` gives them, and memoised on the point.
+        ``trial`` must be below 2**32.
         """
-        if trial < 0:
-            raise SpecError(f"trial index must be >= 0, got {trial}")
-        h = int(self._seed_key(point), 16)
-        seq = np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(h & 0xFFFFFFFF, (h >> 32) & 0xFFFFFFFF, point.index, trial),
-        )
-        return int(seq.generate_state(1, dtype=np.uint64)[0])
+        if not 0 <= trial <= _MASK32:
+            raise SpecError(f"trial index must be in [0, 2**32), got {trial}")
+        memo_key = (self.seed_policy, self.seed)
+        seeds = point._trial_seeds.get(memo_key)
+        if seeds is None or trial >= len(seeds):
+            wanted = range(self.trials) if trial < self.trials else [trial]
+            h = int(self._seed_key(point), 16)
+            derived = _spawned_seeds(
+                self.seed,
+                (h & _MASK32, h >> 32 & _MASK32, point.index),
+                np.array(wanted, dtype=np.uint32),
+            ).tolist()
+            if trial >= self.trials:
+                return derived[0]
+            seeds = point._trial_seeds[memo_key] = derived
+        return seeds[trial]
 
     def trial_spec(self, point: SweepPoint, trial: int) -> ScenarioSpec:
         """The concrete runnable scenario of one ``(point, trial)`` unit."""

@@ -29,7 +29,7 @@ from ..graphs.graph import Graph
 from ..graphs.traversal import batched_component_stats, batched_connected_components
 from ..api.engine import baseline_expansion, default_epsilon, resolve_graph
 from ..api.registry import FAULT_MODELS
-from ..api.specs import RunResult, ScenarioSpec, canonical_json
+from ..api.specs import RunResult, ScenarioSpec, bitmap_text, canonical_json
 from .faults import MASK_SAMPLERS, batched_fault_masks
 
 __all__ = ["supports", "stack_key", "run_trials", "run_points"]
@@ -202,6 +202,14 @@ def run_points(
     n_components, largest = batched_component_stats(labels)
     n_alive = alive.sum(axis=1, dtype=np.int64)
 
+    # One packbits per stack: row i is trial i's surviving bitmap when bit
+    # j is original node j, i.e. on a graph with identity original ids.
+    packed = (
+        np.packbits(alive, axis=1, bitorder="little")
+        if np.array_equal(graph.original_ids, np.arange(n))
+        else None
+    )
+
     out: List[List[RunResult]] = [[] for _ in groups]
     baseline_value = float(baseline.value)
     baseline_exact = bool(baseline.exact)
@@ -215,7 +223,6 @@ def run_points(
             out[gi].append(
                 RunResult(
                     spec=spec,
-                    spec_hash=spec.hash(),
                     seed=spec.seed,
                     label=spec.label,
                     graph_name=graph.name,
@@ -236,6 +243,8 @@ def run_points(
                     expansion_retention=None,
                     surviving_nodes=tuple(surviving.tolist()),
                     epsilon=float(epsilon),
+                ).memoise(
+                    surviving=None if packed is None else bitmap_text(packed[i].tobytes())
                 )
             )
     return out

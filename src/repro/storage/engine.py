@@ -83,6 +83,11 @@ class StorageEngine:
         """Append one record; returns True if ``key`` was superseded."""
         return self.append_raw(kind, key, self.encode(record))
 
+    def append_new(self, kind: str, key: str, record: dict) -> bool:
+        """Append one record unless ``key`` is on disk already, other
+        processes' appends included; True if it was appended."""
+        return self._logs[kind].append_new(key, self.encode(record))
+
     def append_raw(self, kind: str, key: str, record: bytes) -> bool:
         superseded = self._logs[kind].append(key, record)
         self._compact_if_garbage(kind)

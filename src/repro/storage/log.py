@@ -31,7 +31,7 @@ Every mutation runs under the lock.  Reads take no file lock at all — an
 entry is located in the in-memory map and fetched with ``os.pread``; if
 compaction raced us the segment file is gone (or short), we reload once
 and retry, and the record-level check above this layer (for results: the
-key, the stored spec's hash and the fingerprint of the bytes read)
+key, the record's spec hash and the fingerprint of the bytes read)
 rejects any stale bytes.
 """
 
@@ -339,6 +339,22 @@ class RecordLog:
     def append(self, key: str, record: bytes) -> bool:
         """Append one encoded record; True if ``key`` was superseded."""
         return self.append_many([(key, record)])[0]
+
+    def append_new(self, key: str, record: bytes) -> bool:
+        """Append one encoded record unless ``key`` is already on disk;
+        True if it was appended.
+
+        The log is rescanned under its lock first, so a line another
+        process appended since this log was scanned counts: two processes
+        that both missed ``key`` write it once.  Meant for small logs
+        (baselines: one line per graph), since each call scans them.
+        """
+        with self._guard():
+            self._load_locked()
+            if key in self._entries:
+                return False
+            self.append(key, record)
+            return True
 
     def append_many(self, items: Iterable[Tuple[str, bytes]]) -> List[bool]:
         """Append ``(key, record bytes)`` pairs in order under one lock

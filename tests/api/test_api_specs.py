@@ -1,5 +1,7 @@
 """Spec dataclasses: validation, dict/JSON round-trips (incl. property tests)."""
 
+import base64
+import dataclasses
 import hashlib
 import json
 
@@ -8,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.specs import (
+    RECORD_FIELDS,
     AnalysisSpec,
     FaultSpec,
     GraphSpec,
     RunResult,
     ScenarioSpec,
+    bitmap_bytes,
+    bitmap_text,
     canonical_json,
     spec_hash,
 )
@@ -120,23 +125,31 @@ class TestHashing:
         assert spec.graph.key() == other.graph.key()
 
 
+def survivor_sets(n_original):
+    """Valid surviving sets of a network of ``n_original`` nodes: strictly
+    increasing ids in ``range(n_original)``."""
+    return st.sets(st.integers(0, max(n_original - 1, 0)), max_size=40).map(
+        lambda ids: tuple(sorted(i for i in ids if i < n_original))
+    )
+
+
 @st.composite
 def run_results(draw):
     spec = draw(scenario_specs())
     floats = st.floats(allow_nan=False, allow_infinity=False)
+    n_original = draw(st.one_of(st.integers(0, 64), st.integers(0, 2**16 + 10)))
     nodes = draw(
         st.one_of(
-            st.lists(st.integers(0, 2**16 + 10), unique=True).map(sorted),
-            st.lists(st.integers(-5, 2**20), max_size=20),
+            st.just(tuple(range(n_original))) if n_original <= 4096 else st.just(()),
+            survivor_sets(n_original),
         )
     )
     return RunResult(
         spec=spec,
-        spec_hash=spec.hash(),
         seed=spec.seed,
         label=spec.label,
         graph_name=draw(st.text(max_size=8)),
-        n_original=draw(st.integers(0, 2**20)),
+        n_original=n_original,
         mode=spec.analysis.mode,
         fault_kind=draw(st.text(max_size=8)),
         f=draw(st.integers(0, 2**20)),
@@ -151,19 +164,76 @@ def run_results(draw):
         baseline_exact=draw(st.booleans()),
         surviving_expansion=draw(st.one_of(st.none(), floats)),
         expansion_retention=draw(st.one_of(st.none(), floats)),
-        surviving_nodes=tuple(nodes),
+        surviving_nodes=nodes,
         epsilon=draw(floats),
     )
+
+
+def reference_bitmap(nodes):
+    """The stored bitmap text of ``nodes``, built bit by bit."""
+    packed = bytearray(nodes[-1] // 8 + 1 if nodes else 0)
+    for i in nodes:
+        packed[i // 8] |= 1 << (i % 8)
+    return base64.b64encode(bytes(packed)).decode()
 
 
 class TestFingerprint:
     @settings(max_examples=150, deadline=None)
     @given(run_results())
     def test_fingerprint_hashes_the_canonical_record_without_timings(self, result):
+        """The fingerprint hashes the stored record: every field but the
+        spec and the node tuple, the spec hash, and the surviving set as
+        base64 of its packed little-endian bitmap."""
         record = result.to_dict()
         assert "timings" not in record
+        del record["spec"]
+        record["surviving"] = reference_bitmap(record.pop("surviving_nodes"))
+        assert record == result.record()
+        assert set(record) == RECORD_FIELDS
         expected = hashlib.sha256(canonical_json(record).encode()).hexdigest()[:16]
+        assert result.fingerprint_and_text() == (expected, canonical_json(record))
         assert result.fingerprint() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 300).flatmap(survivor_sets))
+    def test_bitmap_text_is_the_one_canonical_encoding(self, nodes):
+        text = reference_bitmap(nodes)
+        packed = bitmap_bytes(text)
+        assert packed is not None and bitmap_text(packed + b"\0\0") == text
+        assert not text or packed[-1] != 0
+
+    @pytest.mark.parametrize(
+        "text", ["QR==", "QQ", "Q Q==", "AA==", "QQA=", "é", 5, None, "QQ==\n"]
+    )
+    def test_non_canonical_bitmap_text_rejected(self, text):
+        assert bitmap_bytes(text) is None
+
+    @pytest.mark.parametrize(
+        "nodes, n_original",
+        [((2, 1), 4), ((1, 1), 4), ((-1, 2), 4), ((0, 4), 4), ((0.0, 1), 4),
+         ((True,), 4), (("1",), 4), ((1, 2**70), 2**71), (((1,),), 4)],
+    )
+    def test_invalid_survivor_sets_raise_when_encoded(self, nodes, n_original):
+        """Unsorted, repeated, negative, out-of-range or non-int ids have no
+        bitmap: encoding them is a SpecError, never a silent reorder."""
+        spec = ScenarioSpec(graph=GraphSpec("torus", {"sides": 4, "d": 2}), seed=1)
+        result = _small_result(spec, nodes, n_original=n_original)
+        with pytest.raises(SpecError, match="surviving_nodes"):
+            result.record()
+        with pytest.raises(SpecError, match="surviving_nodes"):
+            result.fingerprint()
+
+
+def _small_result(spec, nodes, n_original=16):
+    return RunResult(
+        spec=spec, seed=spec.seed, label=spec.label, graph_name="T",
+        n_original=n_original, mode="node", fault_kind="none", f=0,
+        fault_fraction=0.0, faulty_components=0, largest_faulty_component=0,
+        n_surviving=len(nodes), surviving_fraction=0.125, n_culled_sets=0,
+        prune_iterations=0, baseline_expansion=1.0, baseline_exact=True,
+        surviving_expansion=None, expansion_retention=None,
+        surviving_nodes=nodes, epsilon=0.1,
+    )
 
 
 class TestValidation:
@@ -207,19 +277,25 @@ class TestValidation:
         never a TypeError/ValueError escaping, nor a silent conversion
         (``1.5`` or ``true`` read as ``1`` would change the fingerprint)."""
         spec = ScenarioSpec(graph=GraphSpec("torus", {"sides": 4, "d": 2}), seed=1)
-        result = RunResult(
-            spec=spec, spec_hash=spec.hash(), seed=1, label="", graph_name="T",
-            n_original=16, mode="node", fault_kind="none", f=0,
-            fault_fraction=0.0, faulty_components=0, largest_faulty_component=0,
-            n_surviving=2, surviving_fraction=0.125, n_culled_sets=0,
-            prune_iterations=0, baseline_expansion=1.0, baseline_exact=True,
-            surviving_expansion=None, expansion_retention=None,
-            surviving_nodes=(1, 2), epsilon=0.1,
-        )
+        result = _small_result(spec, (1, 2))
         d = result.to_dict()
         assert RunResult.from_dict(d) == result
         d["surviving_nodes"] = nodes
         with pytest.raises(SpecError, match="surviving_nodes"):
+            RunResult.from_dict(d)
+
+    def test_spec_hash_is_the_specs_own(self):
+        """``spec_hash`` is read from the spec, so a result cannot carry a
+        stale one (as ``dataclasses.replace(result, spec=other)`` would
+        have), and a readable dict claiming another hash is rejected."""
+        spec = ScenarioSpec(graph=GraphSpec("torus", {"sides": 4, "d": 2}), seed=1)
+        other = spec.with_seed(2)
+        result = _small_result(spec, (1, 2))
+        assert result.spec_hash == spec.hash()
+        assert dataclasses.replace(result, spec=other).spec_hash == other.hash()
+        d = result.to_dict()
+        d["spec_hash"] = other.hash()
+        with pytest.raises(SpecError, match="spec_hash"):
             RunResult.from_dict(d)
 
     def test_non_json_param_rejected_at_construction(self):

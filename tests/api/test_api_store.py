@@ -1,5 +1,6 @@
 """ResultStore behaviour: round-trips, corruption tolerance, maintenance."""
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -22,7 +23,7 @@ from repro.api.specs import (
     ScenarioSpec,
     canonical_json,
 )
-from repro.api.store import ResultStore, baseline_key
+from repro.api.store import ResultStore, _result_line, baseline_key
 from repro.expansion.estimate import ExpansionEstimate
 from repro.storage import StorageEngine
 
@@ -89,7 +90,8 @@ _FLOATS = st.one_of(
 @st.composite
 def run_results(draw):
     """Arbitrary (not engine-made) results stressing the line encoding:
-    tricky labels, out-of-range seeds and node ids, signed zeros."""
+    tricky labels, out-of-range seeds, signed zeros and surviving sets
+    from empty to full."""
     seed = draw(
         st.one_of(
             st.none(),
@@ -104,20 +106,22 @@ def run_results(draw):
         seed=seed,
         label=label,
     )
+    n_original = draw(st.one_of(st.integers(0, 200), st.integers(0, 2**14)))
     nodes = draw(
         st.one_of(
-            st.just([]),
-            st.lists(st.integers(0, 200), max_size=30),  # unsorted, repeats
-            st.lists(st.integers(0, 2**20), max_size=30),  # past _ID_STRINGS
+            st.just(()),
+            st.just(tuple(range(min(n_original, 1024)))),
+            st.sets(st.integers(0, max(n_original - 1, 0)), max_size=30).map(
+                lambda ids: tuple(sorted(i for i in ids if i < n_original))
+            ),
         )
     )
     return RunResult(
         spec=spec,
-        spec_hash=spec.hash(),
         seed=seed,
         label=label,
         graph_name=draw(_TRICKY_TEXT),
-        n_original=draw(st.integers(0, 2**40)),
+        n_original=n_original,
         mode=draw(st.sampled_from(["node", "edge"])),
         fault_kind=draw(_TRICKY_TEXT),
         f=draw(st.integers(0, 10**6)),
@@ -132,30 +136,30 @@ def run_results(draw):
         baseline_exact=draw(st.booleans()),
         surviving_expansion=draw(st.one_of(st.none(), _FLOATS)),
         expansion_retention=draw(st.one_of(st.none(), _FLOATS)),
-        surviving_nodes=tuple(nodes),
+        surviving_nodes=nodes,
         epsilon=draw(_FLOATS),
     )
+
+
+def _fresh(result):
+    """An equal result with nothing memoised."""
+    return dataclasses.replace(result)
 
 
 class TestResultLineEncoding:
     @settings(max_examples=150, deadline=None)
     @given(run_results())
     def test_line_is_the_record_dict_encoding(self, result):
-        """The store splices each results record from the fingerprint's
-        text; it must equal the encoding of the record dict byte for byte
-        (so fingerprints and store sizes are unaffected), framed in its
-        line by the key and the append time."""
-        content = result.to_dict()
-        fingerprint = hashlib.sha256(canonical_json(content).encode()).hexdigest()[:16]
+        """The store splices each results line from the fingerprint's
+        text; it must equal the encoding of the record dict byte for byte,
+        framed in its log line by the key and the append time."""
+        record = result.record()
+        assert "spec" not in record and "surviving_nodes" not in record
+        fingerprint = hashlib.sha256(canonical_json(record).encode()).hexdigest()[:16]
         reference = StorageEngine.encode(
-            {
-                "key": result.spec.hash(),
-                "seed": result.seed,
-                "label": result.label,
-                "fingerprint": fingerprint,
-                "result": result.to_dict(),
-            }
+            {"key": result.spec.hash(), "fingerprint": fingerprint, "result": record}
         )
+        assert _result_line(_fresh(result)) == reference
         with tempfile.TemporaryDirectory() as tmp:
             ResultStore(tmp).put_result(result)
             store = ResultStore(tmp)
@@ -178,6 +182,22 @@ def _stored_line(result):
         return store.engine.get_raw("results", result.spec.hash())
 
 
+def _parent_line(result):
+    """The results line of the earlier record layout: the readable dict,
+    nested spec and node ids included, with the label and seed framed
+    around it."""
+    content = canonical_json(result.to_dict())
+    return StorageEngine.encode(
+        {
+            "key": result.spec.hash(),
+            "seed": result.seed,
+            "label": result.label,
+            "fingerprint": hashlib.sha256(content.encode()).hexdigest()[:16],
+            "result": result.to_dict(),
+        }
+    )
+
+
 class TestHitContract:
     """A hit is served from the bytes read: the caller's spec, the hash of
     the stored ``result`` text, and only for a byte-exact record."""
@@ -193,58 +213,70 @@ class TestHitContract:
             cached = store.get_result(spec)
         assert cached == result
         assert cached.spec is spec
-        assert cached.fingerprint() == dataclasses.replace(cached).fingerprint()
+        assert cached.fingerprint() == _fresh(cached).fingerprint()
         fingerprint, text = cached.fingerprint_and_text()
+        assert _fresh(cached).fingerprint_and_text() == (fingerprint, text)
         start = raw.index(b',"result":') + len(b',"result":')
-        assert text.encode() == raw[start : raw.rindex(b',"seed":')]
+        assert text.encode() == raw[start:-2]
         assert fingerprint == result.fingerprint()
 
     @staticmethod
     def _case(case):
         """``(lookup spec, record filed under its hash)`` for one case.
 
-        Each forged record but ``whitespace`` and ``stale-fingerprint``
-        stores the fingerprint of its own ``result`` text, so that a
-        recomputed fingerprint cannot be what rejects it."""
+        Each forged record but ``whitespace``, ``stale-fingerprint`` and
+        ``parent-line`` stores the fingerprint of its own ``result`` text,
+        so that a recomputed fingerprint cannot be what rejects it."""
         real = run(torus_spec(seed=3))
         a = ScenarioSpec(
             graph=real.spec.graph, fault=FaultSpec("random_node", {"p": 1.0}), seed=3
         )
-        result = dataclasses.replace(real, spec=a, spec_hash=a.hash())
-        content = result.to_dict()
-        text = canonical_json(content)
+        result = dataclasses.replace(real, spec=a)
+        record = result.record()
+        text = canonical_json(record)
 
-        def framed(text, key=a.hash(), seed=result.seed, fingerprint=None):
+        def framed(text, key=a.hash(), fingerprint=None):
             fingerprint = fingerprint or hashlib.sha256(text.encode()).hexdigest()[:16]
-            head = {"fingerprint": fingerprint, "key": key, "label": result.label}
-            return (
-                f'{canonical_json(head)[:-1]},"result":{text}'
-                f',"seed":{canonical_json(seed)}}}\n'
-            ).encode()
+            head = {"fingerprint": fingerprint, "key": key}
+            return f'{canonical_json(head)[:-1]},"result":{text}}}\n'.encode()
+
+        def with_bitmap(surviving):
+            return canonical_json(dict(record, surviving=surviving))
 
         line = _stored_line(result)
         assert framed(text) == line
         b = torus_spec(seed=4)
         a_int = dataclasses.replace(a, fault=FaultSpec("random_node", {"p": 1}))
         assert a_int == a and a_int.hash() != a.hash()  # equal once decoded
-        ids_at = text.index('"surviving_nodes":')
         # the canonical text with its first two fields swapped: same bytes
         # count, same decoded dict
-        first, second, *rest = sorted(content)
-        unsorted = {name: content[name] for name in (second, first, *rest)}
+        first, second, *rest = sorted(record)
+        unsorted = {name: record[name] for name in (second, first, *rest)}
+        bitmap = base64.b64decode(record["surviving"])
         cases = {
             "valid": (a, line),
-            "other-key": (b, framed(text, key=b.hash())),
+            # another spec's valid line, re-framed under this key
+            "other-key": (b, framed(canonical_json(run(b).record()))),
             "int-vs-float": (a_int, framed(text, key=a_int.hash())),
             "whitespace": (a, json.dumps(json.loads(line)).encode() + b"\n"),
             "stale-fingerprint": (a, framed(text, fingerprint="0" * 16)),
-            "record-seed": (a, framed(text, seed=result.seed + 1)),
+            # the earlier layout's top-level seed after the text
+            "record-seed": (a, line[:-2] + f',"seed":{result.seed}}}\n'.encode()),
             "unsorted-fields": (a, framed(json.dumps(unsorted, separators=(",", ":")))),
-            "spaced-ids": (a, framed(text[:ids_at] + text[ids_at:].replace(",", ", "))),
+            # a space inside the bitmap text, which b64decode would skip
+            "spaced-ids": (a, framed(with_bitmap(record["surviving"][:4] + " " + record["surviving"][4:]))),
             "missing-field": (
                 a,
-                framed(canonical_json({k: v for k, v in content.items() if k != "epsilon"})),
+                framed(canonical_json({k: v for k, v in record.items() if k != "epsilon"})),
             ),
+            "extra-field": (a, framed(canonical_json(dict(record, spec=a.to_dict())))),
+            "trailing-zero-byte": (
+                a, framed(with_bitmap(base64.b64encode(bitmap + b"\0").decode()))
+            ),
+            "non-canonical-base64": (a, framed(with_bitmap(_non_canonical(record["surviving"])))),
+            "parent-line": (a, _parent_line(result)),
+            # the text and frame intact, the closing brace not
+            "unclosed-record": (a, line[:-2] + b"]\n"),
         }
         return cases[case]
 
@@ -262,6 +294,11 @@ class TestHitContract:
                 "unsorted-fields",
                 "spaced-ids",
                 "missing-field",
+                "extra-field",
+                "trailing-zero-byte",
+                "non-canonical-base64",
+                "parent-line",
+                "unclosed-record",
             )
         ],
     )
@@ -276,6 +313,36 @@ class TestHitContract:
         counts = ResultStore(path).compact(force=True)
         assert (counts["kept"], counts["corrupt"]) == ((1, 0) if served else (0, 1))
         assert (spec in ResultStore(path)) is served
+
+    def test_a_store_of_the_earlier_layout_goes_cold(self, tmp_path):
+        """Lines written in the earlier record layout are never served:
+        each lookup misses and counts one corrupt line, a sweep recomputes
+        them, and compaction keeps only the fresh lines."""
+        path = tmp_path / "store"
+        results = [run(torus_spec(seed=s)) for s in range(3)]
+        old = ResultStore(path)
+        for result in results:
+            old.engine.append_raw("results", result.spec.hash(), _parent_line(result))
+        store = ResultStore(path)
+        assert len(store) == 3
+        assert [store.get_result(r.spec) for r in results] == [None] * 3
+        assert store.corrupt_entries == 3
+        store.put_results(run(r.spec) for r in results)
+        counts = ResultStore(path).compact(force=True)
+        assert (counts["kept"], counts["superseded"]) == (3, 3)
+        warm = ResultStore(path)
+        assert [warm.get_result(r.spec) for r in results] == results
+        assert warm.corrupt_entries == 0
+
+
+def _non_canonical(text):
+    """``text`` with the unused low bits of its last base64 digit set:
+    the same bytes decode from it (``QR==`` for ``QQ==``)."""
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    pad = text.count("=")
+    assert pad, "the bitmap length must leave unused bits"
+    last = alphabet.index(text[-pad - 1]) | (0b1111 if pad == 2 else 0b11)
+    return text[: -pad - 1] + alphabet[last] + "=" * pad
 
 
 class TestOlderLayout:
@@ -361,6 +428,30 @@ class TestBaselineRoundTrip:
         assert restored.value == estimate.value
         assert restored.exact == estimate.exact
         assert list(restored.witness) == list(estimate.witness)
+
+    def test_two_stores_that_both_missed_write_one_line(self, tmp_path):
+        """Two processes (here two stores) scan the baselines log, both
+        miss, both compute and both put: one line lands, so a forced
+        compaction finds nothing superseded.  A refresh rebuild still
+        replaces the stored line."""
+        from repro.api.engine import _baseline_task
+
+        spec = torus_spec()
+        key = baseline_key(spec)
+        first, second = ResultStore(tmp_path / "s"), ResultStore(tmp_path / "s")
+        assert first.get_baseline(key) is None and second.get_baseline(key) is None
+        estimate = _baseline_task(spec)
+        first.put_baseline(key, estimate)
+        second.put_baseline(key, estimate)
+        lines = [
+            line
+            for seg in first.segment_files("baselines")
+            for line in seg.read_bytes().splitlines()
+        ]
+        assert len(lines) == 1
+        assert ResultStore(tmp_path / "s").compact(force=True)["superseded"] == 0
+        second.put_baseline(key, estimate, replace=True)
+        assert ResultStore(tmp_path / "s").stats().superseded == 1
 
 
 class TestCorruptionTolerance:

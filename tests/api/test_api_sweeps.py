@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from repro.api.sweeps import (
     PointView,
     SamplingPolicy,
     SweepSpec,
+    _spawned_seeds,
     run_sweep,
 )
 from repro.errors import SpecError
@@ -369,6 +371,43 @@ class TestTrialSeeds:
         assert arm1.trial_seed(arm1.points()[0], 0) != arm2.trial_seed(
             arm2.points()[0], 0
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entropy=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200)),
+        h=st.integers(0, 2**64 - 1),
+        index=st.one_of(st.integers(0, 100), st.integers(0, 2**40)),
+        trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    )
+    def test_vectorised_seeds_match_seed_sequence(self, entropy, h, index, trials):
+        """A point's trial seeds, derived in one step, are bit for bit
+        numpy's ``SeedSequence(sweep seed, spawn_key=(hash words, point
+        index, trial))``."""
+        key = (h & 0xFFFFFFFF, h >> 32, index)
+        got = _spawned_seeds(entropy, key, np.array(trials, dtype=np.uint32))
+        want = [
+            int(
+                np.random.SeedSequence(entropy, spawn_key=key + (t,)).generate_state(
+                    1, dtype=np.uint64
+                )[0]
+            )
+            for t in trials
+        ]
+        assert got.tolist() == want
+
+    def test_trial_seed_is_the_seed_sequence_inside_and_past_the_memo(self):
+        sweep = _sweep(seed=2**70 + 5)
+        point = sweep.points()[1]
+        h = int(sweep._seed_key(point), 16)
+        for t in (0, sweep.trials - 1, sweep.trials, 2**32 - 1, 3):
+            seq = np.random.SeedSequence(
+                sweep.seed, spawn_key=(h & 0xFFFFFFFF, h >> 32, point.index, t)
+            )
+            assert sweep.trial_seed(point, t) == int(seq.generate_state(1, np.uint64)[0])
+        assert len(point._trial_seeds[("scenario", sweep.seed)]) == sweep.trials
+        for bad in (-1, 2**32):
+            with pytest.raises(SpecError, match="trial index"):
+                sweep.trial_seed(point, bad)
 
 
 # ------------------------------------------------------------------ #

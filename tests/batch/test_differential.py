@@ -23,6 +23,7 @@ every run.  The whole module is the ``differential`` tier (see
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -184,6 +185,32 @@ def test_run_trials_matches_scalar_engine(n, extra, gseed, p, seed0, trials):
 
 
 @given(
+    sides=st.integers(2, 12),
+    p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    seed0=st.integers(0, 2**31 - 1),
+    trials=st.integers(1, 8),
+)
+@settings(max_examples=100, deadline=None)
+def test_packed_bitmap_memo_is_the_tuple_bitmap(sides, p, seed0, trials):
+    """The bitmap a stack memoises from its ``packbits`` rows gives the
+    same stored text as one built from the node tuple."""
+    specs = [
+        ScenarioSpec(
+            graph=GraphSpec("torus", {"sides": sides, "d": 2}),
+            fault=FaultSpec("random_node", {"p": p}),
+            analysis=MEASURE_ONLY,
+            seed=seed0 + t,
+        )
+        for t in range(trials)
+    ]
+    for result in batch_engine.run_trials(specs):
+        assert "_surviving" in vars(result)  # memoised by the stack
+        fresh = dataclasses.replace(result)
+        assert "_surviving" not in vars(fresh)
+        assert result.fingerprint_and_text() == fresh.fingerprint_and_text()
+
+
+@given(
     gseed=st.integers(0, 2**20),
     seed0=st.integers(0, 2**31 - 1),
 )
@@ -236,6 +263,30 @@ def test_store_entries_identical_across_strategies(tmp_path):
     batched_entries = _store_entries(tmp_path / "batched")
     assert scalar_entries == batched_entries
     assert scalar_session.misses == batched_session.misses == 15
+
+
+def test_results_lines_stay_small(tmp_path):
+    """A 64-trial γ stack on a 32×32 torus at p = 0.3 stores at most
+    1000 B per results line (the node-id record took about 3.6 KB), and
+    the same bytes on every run."""
+    sweep = SweepSpec(
+        base=ScenarioSpec(
+            graph=GraphSpec("torus", {"sides": 32, "d": 2}),
+            fault=FaultSpec("random_node", {"p": 0.3}),
+            analysis=MEASURE_ONLY,
+        ),
+        trials=64,
+        seed=7,
+        metrics=("gamma",),
+    )
+    sizes = []
+    for name in ("first", "second"):
+        store = ResultStore(tmp_path / name)
+        run_sweep(sweep, Session(store))
+        assert len(store) == 64
+        sizes.append(sum(seg.stat().st_size for seg in store.segment_files("results")))
+    assert sizes[0] == sizes[1]
+    assert sizes[0] / 64 <= 1000, sizes[0] / 64
 
 
 def test_warm_resume_across_strategies(tmp_path):

@@ -57,7 +57,12 @@ def tear_results_write(start):
         if log.path.name != "results":
             return real(log, fh)
         fh.flush()  # then lose the second half of what this open wrote
-        os.ftruncate(fh.fileno(), start + (fh.tell() - start) // 2)
+        cut = start + (fh.tell() - start) // 2
+        with open(fh.name, "rb") as written:
+            written.seek(cut - 1)
+            if written.read(1) == b"\\n":  # tear a line, not between two
+                cut += 1
+        os.ftruncate(fh.fileno(), cut)
         die()
 
     RecordLog._finish_write = finish
