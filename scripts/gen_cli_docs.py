@@ -37,8 +37,8 @@ SECTIONS = [
         "`run` / `run-batch` — declarative scenarios",
         ["run", "--help"],
         "Execute scenario spec JSON (one object for `run`; `run-batch` "
-        "takes an array, deduplicates baselines and fans out over worker "
-        "processes).",
+        "takes an array, computes each graph's baseline once for the "
+        "analyses that read it and fans out over worker processes).",
     ),
     (
         "`sweep` — declarative grids",

@@ -22,8 +22,9 @@ Usage::
     python -m repro registry
 
 ``run`` executes one scenario spec (a JSON object); ``run-batch`` executes a
-JSON array of specs, deduplicating baseline expansion estimates and fanning
-scenarios out over worker processes.  ``--store PATH`` attaches a persistent
+JSON array of specs, computing each graph's baseline expansion estimate
+once for the analyses that read it and fanning scenarios out over worker
+processes.  ``--store PATH`` attaches a persistent
 result store: completed scenarios are appended as they finish and identical
 scenarios are served from disk instead of re-executing, which is also what
 makes an interrupted sweep resumable — rerun the same command and only the

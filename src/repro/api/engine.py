@@ -14,8 +14,9 @@ The engine turns :class:`~repro.api.specs.ScenarioSpec` data into
   drift apart;
 * :func:`run` executes one scenario; :func:`run_batch` executes many
   through a throwaway :class:`~repro.api.session.Session`, deduplicating
-  baseline expansion estimates per (graph spec, mode) and fanning scenarios
-  out across worker processes via the :mod:`repro.api.executors` layer.
+  the baseline expansion estimates of the analyses that read one per
+  (graph spec, mode) and fanning scenarios out across worker processes via
+  the :mod:`repro.api.executors` layer.
 
 Determinism: a scenario's randomness comes from explicit ``seed`` params
 inside its specs (graph identity) plus the scenario ``seed`` (fault draws).
@@ -43,7 +44,6 @@ from ..pruning.cutfinder import CutFinder
 from ..pruning.prune import PruneResult
 from .registry import FAULT_MODELS, FINDERS, GENERATORS, PRUNERS
 from .specs import AnalysisSpec, FaultSpec, GraphSpec, RunResult, ScenarioSpec
-from .store import BaselineKey, baseline_key
 
 # Importing the component packages populates the registries; keep these at
 # the bottom of the import block so the leaf modules above are ready first.
@@ -198,9 +198,14 @@ def analyze_graph(
     """The shared pipeline: components → prune → measure → report.
 
     This is the single code path behind both ``repro.api.run`` and the
-    :class:`~repro.core.FaultExpansionAnalyzer` facade.
+    :class:`~repro.core.FaultExpansionAnalyzer` facade.  ``baseline`` is
+    the graph's fault-free estimate, computed here when it is not given;
+    an analysis without a pruner or a survivor measurement reads none
+    (:attr:`AnalysisSpec.reads_baseline`), and its report carries none.
     """
-    if baseline is None:
+    if pruner is None and not measure_expansion:
+        baseline = None
+    elif baseline is None:
         baseline = baseline_expansion(graph, mode, exact_threshold=exact_threshold)
     if epsilon is None:
         epsilon = default_epsilon(graph, mode)
@@ -230,9 +235,8 @@ def analyze_graph(
 # --------------------------------------------------------------------- #
 
 
-# The baseline-cache key (graph hash × mode × exact threshold) is defined
-# once, in repro.api.store, and shared with the persistent baseline store.
-_baseline_cache_key = baseline_key
+def _value(estimate: Optional[ExpansionEstimate]) -> Optional[float]:
+    return None if estimate is None else float(estimate.value)
 
 
 def _package(spec: ScenarioSpec, report: FaultToleranceReport) -> RunResult:
@@ -256,13 +260,8 @@ def _package(spec: ScenarioSpec, report: FaultToleranceReport) -> RunResult:
         surviving_fraction=float(report.surviving_fraction),
         n_culled_sets=len(prune_result.culled),
         prune_iterations=int(prune_result.iterations),
-        baseline_expansion=float(report.baseline_expansion.value),
-        baseline_exact=bool(report.baseline_expansion.exact),
-        surviving_expansion=(
-            float(report.surviving_expansion.value)
-            if report.surviving_expansion is not None
-            else None
-        ),
+        baseline_expansion=_value(report.baseline_expansion),
+        surviving_expansion=_value(report.surviving_expansion),
         expansion_retention=None if retention != retention else float(retention),
         surviving_nodes=tuple(int(i) for i in surviving_original),
         epsilon=float(report.epsilon),
@@ -270,30 +269,19 @@ def _package(spec: ScenarioSpec, report: FaultToleranceReport) -> RunResult:
 
 
 def run(
-    spec: ScenarioSpec,
-    *,
-    baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
+    spec: ScenarioSpec, *, baseline: Optional[ExpansionEstimate] = None
 ) -> RunResult:
     """Execute one scenario spec end-to-end.
 
-    ``baseline_cache`` (keyed by graph-spec hash × mode × exact threshold)
-    lets callers amortise the fault-free expansion estimate across scenarios
-    sharing a graph; :func:`run_batch` manages one automatically.
+    ``baseline`` is the graph's fault-free expansion estimate, for an
+    analysis that reads one (:attr:`AnalysisSpec.reads_baseline`); pass it
+    to share one estimate across scenarios on a graph, as
+    :class:`~repro.api.session.Session` does.  When omitted it is computed
+    if the analysis reads it.
     """
     if not isinstance(spec, ScenarioSpec):
         raise SpecError(f"run() takes a ScenarioSpec, got {type(spec).__name__}")
     graph, raw = resolve_graph(spec.graph)
-
-    key = _baseline_cache_key(spec)
-    if baseline_cache is not None and key in baseline_cache:
-        baseline = baseline_cache[key]
-    else:
-        baseline = baseline_expansion(
-            graph, spec.analysis.mode, exact_threshold=spec.analysis.exact_threshold
-        )
-        if baseline_cache is not None:
-            baseline_cache[key] = baseline
-
     scenario = apply_fault_spec(graph, spec.fault, seed=spec.seed, raw=raw)
     report = analyze_graph(
         graph,
@@ -317,17 +305,18 @@ def _baseline_task(spec: ScenarioSpec) -> ExpansionEstimate:
     )
 
 
-def _run_task(payload: Tuple[ScenarioSpec, ExpansionEstimate]) -> RunResult:
-    """Picklable worker: one scenario with its precomputed baseline."""
+def _run_task(
+    payload: Tuple[ScenarioSpec, Optional[ExpansionEstimate]]
+) -> RunResult:
+    """Picklable worker: one scenario with its resolved baseline, if any."""
     spec, baseline = payload
-    return run(spec, baseline_cache={_baseline_cache_key(spec): baseline})
+    return run(spec, baseline=baseline)
 
 
 def run_batch(
     specs: Iterable[ScenarioSpec],
     *,
     workers: Optional[int] = 1,
-    baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
     store=None,
 ) -> List[RunResult]:
     """Execute many scenarios, deduplicating baselines and fanning out.
@@ -335,19 +324,18 @@ def run_batch(
     This is a thin wrapper over :class:`repro.api.session.Session` — one
     session per call, torn down afterwards.  The session's batch phase 1
     computes the fault-free expansion once per unique ``(graph spec, mode,
-    exact threshold)`` — typically the dominant shared cost of a sweep —
-    and phase 2 runs every scenario with its baseline pre-resolved.  Both
-    phases parallelise over processes when ``workers > 1`` (``None``/``0``
-    = auto); results keep input order and are identical to a serial run.
+    exact threshold)`` among the scenarios whose analysis reads it — a
+    shared cost of a pruning sweep — and phase 2 runs every scenario with
+    its baseline pre-resolved.  Both phases parallelise over processes when
+    ``workers > 1`` (``None``/``0`` = auto); results keep input order and
+    are identical to a serial run.
 
-    Pass the same ``baseline_cache`` dict to successive calls to carry the
-    phase-1 estimates across batches (it is updated in place), or pass
-    ``store`` (a path or :class:`~repro.api.store.ResultStore`) to persist
-    and reuse full results across invocations.  For streaming results,
-    cross-call cache reuse and hit/miss accounting, hold a ``Session``
-    directly.
+    Pass ``store`` (a path or :class:`~repro.api.store.ResultStore`) to
+    persist and reuse results and baselines across invocations.  For
+    streaming results, cross-call reuse and hit/miss accounting, hold a
+    ``Session`` directly.
     """
     from .session import Session  # session builds on the engine; import late
 
-    session = Session(store=store, workers=workers, baseline_cache=baseline_cache)
+    session = Session(store=store, workers=workers)
     return session.run_batch(specs)

@@ -21,6 +21,10 @@ Three consequences fall out:
 
 * **warm batches short-circuit** — a fully cached batch performs zero
   engine calls, including the baseline phase;
+* **baselines only where read** — the fault-free expansion estimate is
+  resolved (memory, then store, then computed once per graph) only for
+  analyses that read it (:attr:`AnalysisSpec.reads_baseline`), and
+  :meth:`Session.baseline` serves it to callers directly;
 * **interrupted sweeps resume** — each computed batch (a stacked sweep's
   whole stack, or one streamed result) is appended to the store in one
   call the moment it finishes, before any of it is returned or yielded,
@@ -53,12 +57,13 @@ from ..errors import SpecError
 from ..expansion.estimate import ExpansionEstimate
 from ..graphs.graph import Graph
 from .executors import make_executor
-from .specs import RunResult, ScenarioSpec
+from .specs import AnalysisSpec, GraphSpec, RunResult, ScenarioSpec
 from .store import BaselineKey, ResultStore, baseline_key
 
 # The engine import populates the component registries as a side effect, so
 # a Session is runnable the moment it is constructed.
 from . import engine as _engine
+from ..batch import engine as _batch_engine
 
 __all__ = ["Session"]
 
@@ -93,10 +98,6 @@ class Session:
     workers:
         Parallelism degree of the executor: ``1`` = serial,
         ``None``/``0`` = auto-sized process pool, ``N`` = pool of N.
-    baseline_cache:
-        In-memory fault-free-estimate cache, keyed by
-        ``(graph hash, mode, exact_threshold)``.  Pass a shared dict to
-        carry estimates across sessions; it is updated in place.
     refresh:
         When true, ignore existing store entries (recompute everything) but
         still write results through — a forced cache rebuild.
@@ -126,7 +127,6 @@ class Session:
         store: Union[None, str, os.PathLike, ResultStore] = None,
         *,
         workers: Optional[int] = 1,
-        baseline_cache: Optional[Dict[BaselineKey, ExpansionEstimate]] = None,
         refresh: bool = False,
     ) -> None:
         if store is None or isinstance(store, ResultStore):
@@ -135,7 +135,7 @@ class Session:
             self.store = ResultStore(store)
         self.executor = make_executor(workers)
         self.refresh = refresh
-        self._baselines = baseline_cache if baseline_cache is not None else {}
+        self._baselines: Dict[BaselineKey, ExpansionEstimate] = {}
         #: Scenarios served from the store / actually executed, cumulatively.
         self.hits = 0
         self.misses = 0
@@ -148,12 +148,38 @@ class Session:
             return None
         return self.store.get_result(spec)
 
-    def _ensure_baselines(self, specs: List[ScenarioSpec]) -> None:
-        """Resolve the fault-free estimate for every unique baseline key in
-        ``specs``: memory cache, then store, then one computation per key
-        (fanned out through the executor)."""
+    def baseline(
+        self, graph: GraphSpec, mode: str = "node", exact_threshold: int = 14
+    ) -> ExpansionEstimate:
+        """The fault-free expansion estimate α of ``graph`` in ``mode``:
+        from memory, else from the store, else computed once (and stored).
+
+        It is the estimate every pruning analysis on the graph reads.
+
+        >>> session = Session()
+        >>> alpha = session.baseline(GraphSpec("cycle_graph", {"n": 12}))
+        >>> round(alpha.value, 4), alpha.exact
+        (0.3333, True)
+        >>> session.baseline(GraphSpec("cycle_graph", {"n": 12})) is alpha
+        True
+        """
+        spec = ScenarioSpec(
+            graph=graph, analysis=AnalysisSpec(mode=mode, exact_threshold=exact_threshold)
+        )
+        (estimate,) = self._baselines_for([spec])
+        return estimate
+
+    def _baselines_for(
+        self, specs: List[ScenarioSpec]
+    ) -> List[Optional[ExpansionEstimate]]:
+        """The fault-free estimate each spec's analysis reads, or None for
+        one that reads none.  Each unique baseline key is resolved from
+        memory, then from the store, then by one computation (the keys'
+        computations fanned out through the executor)."""
         missing: Dict[BaselineKey, ScenarioSpec] = {}
         for spec in specs:
+            if not spec.analysis.reads_baseline:
+                continue
             key = baseline_key(spec)
             if key in self._baselines or key in missing:
                 continue
@@ -163,28 +189,30 @@ class Session:
                     self._baselines[key] = stored
                     continue
             missing[key] = spec
-        if not missing:
-            return
-        estimates = self.executor.map(_engine._baseline_task, list(missing.values()))
-        for key, estimate in zip(missing, estimates):
-            self._baselines[key] = estimate
-            if self.store is not None:
-                self.store.put_baseline(key, estimate, replace=self.refresh)
+        if missing:
+            estimates = self.executor.map(_engine._baseline_task, list(missing.values()))
+            for key, estimate in zip(missing, estimates):
+                self._baselines[key] = estimate
+                if self.store is not None:
+                    self.store.put_baseline(key, estimate, replace=self.refresh)
+        return [
+            self._baselines[baseline_key(spec)] if spec.analysis.reads_baseline else None
+            for spec in specs
+        ]
 
     def _serve(
         self, specs: Iterable[ScenarioSpec], compute: _Compute
     ) -> Iterator[RunResult]:
-        """The one lookup → baseline → compute → record loop.
+        """The one lookup → compute → record loop.
 
         Validation and the store lookups (so the hit/miss counters too)
         happen now.  The returned iterator yields results in input order,
         each as soon as it and all its predecessors are available: the
-        cached prefix first, then — after resolving the misses' baselines
-        — ``compute(missing, slots)`` runs on the missing specs and their
-        input positions, yielding batches of ``(index into missing,
-        result)`` pairs in any order.  Each batch is appended to the store
-        with one :meth:`ResultStore.put_results` call the moment it
-        arrives, before any of it is yielded.
+        cached prefix first, then ``compute(missing, slots)`` runs on the
+        missing specs and their input positions, yielding batches of
+        ``(index into missing, result)`` pairs in any order.  Each batch is
+        appended to the store with one :meth:`ResultStore.put_results` call
+        the moment it arrives, before any of it is yielded.
         """
         spec_list = _validate_specs(specs)
         results = [self.lookup(spec) for spec in spec_list]
@@ -200,7 +228,6 @@ class Session:
                 i += 1
             if not missing:
                 return
-            self._ensure_baselines(missing)
             for batch in compute(missing, slots):
                 if self.store is not None:
                     self.store.put_results(result for _, result in batch)
@@ -228,22 +255,18 @@ class Session:
 
         Cached scenarios are served without any execution (a fully warm
         batch performs zero engine calls — no baseline phase either); the
-        rest are dispatched through the executor, and every computed result
-        is appended to the store *before* it is yielded, so an interrupted
-        consumer loses nothing that was yielded.  Closing the iterator
+        baselines the misses read are resolved as :meth:`baseline` does,
+        then the misses are dispatched through the executor, and every
+        computed result is appended to the store *before* it is yielded, so
+        an interrupted consumer loses nothing that was yielded.  Closing the iterator
         mid-sweep cancels still-queued scenarios promptly; at most the
         handful in flight at that moment are recomputed on resume.
         """
-        return self._serve(
-            specs,
-            lambda missing, _slots: (
-                [pair]
-                for pair in self.executor.imap(
-                    _engine._run_task,
-                    [(spec, self._baselines[baseline_key(spec)]) for spec in missing],
-                )
-            ),
-        )
+        def compute(missing: List[ScenarioSpec], _slots: List[int]):
+            payloads = list(zip(missing, self._baselines_for(missing)))
+            return ([pair] for pair in self.executor.imap(_engine._run_task, payloads))
+
+        return self._serve(specs, compute)
 
     def run_trials_batched(self, specs: Iterable[ScenarioSpec]) -> List[RunResult]:
         """Execute one grid point's homogeneous trials through the batched
@@ -266,8 +289,6 @@ class Session:
         sweep fingerprints are unchanged.  Returns one result list per
         group, in input order.
         """
-        from ..batch import engine as _batch_engine  # late: batch builds on api
-
         group_lists = [list(g) for g in groups]
         owner = [gi for gi, g in enumerate(group_lists) for _ in g]
 
@@ -282,9 +303,7 @@ class Session:
                     zip(slots, missing), key=lambda pair: owner[pair[0]]
                 )
             ]
-            computed = _batch_engine.run_points(
-                runs, baseline=self._baselines[baseline_key(missing[0])]
-            )
+            computed = _batch_engine.run_points(runs)
             return [list(enumerate(result for run in computed for result in run))]
 
         flat = iter(list(self._serve(itertools.chain(*group_lists), stacked)))

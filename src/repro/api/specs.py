@@ -455,6 +455,13 @@ class AnalysisSpec:
             measure_expansion=bool(d.get("measure_expansion", True)),
         )
 
+    @property
+    def reads_baseline(self) -> bool:
+        """Whether the analysis reads the fault-free expansion α(G): Prune's
+        threshold is ε·α, and the survivor's retention is α(H)/α.  Results
+        of other analyses carry no baseline."""
+        return self.pruner is not None or self.measure_expansion
+
     def __hash__(self) -> int:
         return hash(canonical_json(self.to_dict()))
 
@@ -608,8 +615,9 @@ class RunResult:
     surviving_fraction: float
     n_culled_sets: int
     prune_iterations: int
-    baseline_expansion: float
-    baseline_exact: bool
+    #: α(G), or None when the analysis does not read it
+    #: (:attr:`AnalysisSpec.reads_baseline`)
+    baseline_expansion: Optional[float]
     surviving_expansion: Optional[float]
     expansion_retention: Optional[float]
     surviving_nodes: Tuple[int, ...]
@@ -644,7 +652,6 @@ class RunResult:
             "n_culled_sets": self.n_culled_sets,
             "prune_iterations": self.prune_iterations,
             "baseline_expansion": self.baseline_expansion,
-            "baseline_exact": self.baseline_exact,
             "surviving_expansion": self.surviving_expansion,
             "expansion_retention": self.expansion_retention,
             "surviving_nodes": list(self.surviving_nodes),
@@ -753,18 +760,15 @@ class RunResult:
             "f": self.f,
             "H_size": self.n_surviving,
             "H_frac": round(self.surviving_fraction, 4),
-            "alpha_G": round(self.baseline_expansion, 4),
-            "alpha_H": (
-                round(self.surviving_expansion, 4)
-                if self.surviving_expansion is not None
-                else "n/a"
-            ),
-            "retention": (
-                round(self.expansion_retention, 4)
-                if self.expansion_retention is not None
-                else "n/a"
-            ),
+            "alpha_G": _round_or_na(self.baseline_expansion),
+            "alpha_H": _round_or_na(self.surviving_expansion),
+            "retention": _round_or_na(self.expansion_retention),
         }
+
+
+def _round_or_na(value: Optional[float]) -> Any:
+    """A row cell: ``value`` to 4 places, or ``"n/a"`` when it is None."""
+    return "n/a" if value is None else round(value, 4)
 
 
 #: The fields a stored record holds as they are: all but the spec and the

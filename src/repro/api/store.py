@@ -22,7 +22,8 @@ stored:
   way in (:func:`_result_line`).
 * ``baselines`` — fault-free :class:`ExpansionEstimate`s keyed by
   ``(GraphSpec.key(), mode, exact_threshold)``, so a warm store skips even
-  the baseline phase of a batch.
+  the baseline phase of a batch (a phase only analyses that read the
+  baseline have).
 * ``tables`` — arbitrary JSON payloads keyed by an opaque string, used by
   the paper-report pipeline (:mod:`repro.report.paper`) to cache whole
   rendered experiment tables: a warm paper rerun then re-renders with
@@ -62,10 +63,11 @@ The store is a cache, not data of record: a directory holding files of
 an older layout (single ``results.jsonl``/``baselines.jsonl``/
 ``tables.jsonl`` files at the store root, or the ``engine.json`` and
 ``shard-*`` directories of the hash-sharded layout) opens as an empty
-store and those files are left untouched.  Results lines of the earlier
-record layout (a nested spec and a node-id list in every line) fail the
-line check: each is a miss, counted corrupt, and dropped by the next
-compaction, so such a store goes cold and refills as sweeps run.
+store and those files are left untouched.  Results lines of an earlier
+record layout (a nested spec and a node-id list in every line, or a flat
+record with a ``baseline_exact`` field) fail the line check: each is a
+miss, counted corrupt, and dropped by the next compaction, so such a
+store goes cold and refills as sweeps run.
 
 Maintenance operations: :meth:`stats` (map-served), :meth:`compact`,
 :meth:`prune`, :meth:`clear`.

@@ -65,6 +65,7 @@ from typing import (
 
 import numpy as np
 
+from ..batch import engine as _batch_engine
 from ..errors import SpecError
 from ..util.stats import (
     OnlineStats,
@@ -137,8 +138,11 @@ def register_metric(
     return metric
 
 
-def _prune2_success(r: RunResult) -> float:
-    """Theorem 3.4's success event: |H| ≥ n/2 and αe(H) ≥ ε·αe(G)."""
+def _prune2_success(r: RunResult) -> Optional[float]:
+    """Theorem 3.4's success event: |H| ≥ n/2 and αe(H) ≥ ε·αe(G); None
+    for a result without αe(G)."""
+    if r.baseline_expansion is None:
+        return None
     ok_size = r.n_surviving >= r.n_original / 2
     h_exp = r.surviving_expansion if r.surviving_expansion is not None else 0.0
     ok_exp = h_exp >= r.epsilon * r.baseline_expansion - 1e-9
@@ -164,7 +168,7 @@ register_metric(
 )
 register_metric(
     "baseline_expansion", lambda r: r.baseline_expansion,
-    doc="fault-free α(G)",
+    doc="fault-free α(G); None when the analysis does not read it",
 )
 register_metric(
     "fault_fraction", lambda r: r.fault_fraction, doc="f / n",
@@ -1338,8 +1342,6 @@ def execute_units(
     whole scalar remainder).  The two paths are bit-identical, so
     aggregation and fingerprints cannot observe the choice.
     """
-    from ..batch import engine as _batch_engine  # late: batch builds on api
-
     out: List[Optional[RunResult]] = [None] * len(units)
     scalar_positions: List[int] = []
     stacks: Dict[str, List[List[int]]] = {}

@@ -11,10 +11,12 @@ kernels in :mod:`repro.graphs.traversal`.
 Equivalence contract: for every supported spec list,
 ``run_trials(specs)[i] == repro.api.engine.run(specs[i])`` as
 :class:`~repro.api.specs.RunResult` records, with the same
-:meth:`~repro.api.specs.RunResult.fingerprint`.  The contract is property-tested in
-``tests/batch/test_differential.py``; anything the contract cannot cover
-— unregistered fault models, pruning analyses, survivor expansion
-estimates — is rejected by :func:`supports` and stays on the scalar path.
+:meth:`~repro.api.specs.RunResult.fingerprint`.  No supported analysis
+reads the fault-free expansion, so no record here carries one.  The
+contract is property-tested in ``tests/batch/test_differential.py``;
+anything the contract cannot cover — unregistered fault models, pruning
+analyses, survivor expansion estimates — is rejected by :func:`supports`
+and stays on the scalar path.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from ..errors import SpecError
-from ..expansion.estimate import ExpansionEstimate
 from ..graphs.graph import Graph
 from ..graphs.traversal import batched_component_stats, batched_connected_components
-from ..api.engine import baseline_expansion, default_epsilon, resolve_graph
+# baseline_expansion is unused here, but perfbench/bench_layers.py wraps it by name
+from ..api.engine import baseline_expansion, default_epsilon, resolve_graph  # noqa: F401
 from ..api.registry import FAULT_MODELS
 from ..api.specs import RunResult, ScenarioSpec, bitmap_text, canonical_json
 from .faults import MASK_SAMPLERS, batched_fault_masks
@@ -96,26 +98,20 @@ def _check_homogeneous(specs: List[ScenarioSpec]) -> ScenarioSpec:
 
 
 def run_trials(
-    specs: List[ScenarioSpec],
-    *,
-    baseline: Optional[ExpansionEstimate] = None,
-    graph: Optional[Graph] = None,
+    specs: List[ScenarioSpec], *, graph: Optional[Graph] = None
 ) -> List[RunResult]:
     """Execute homogeneous trials as one batched evaluation.
 
     ``specs`` must share graph/fault/analysis and differ only in ``seed``
-    (and ``label``); pass ``baseline`` (the shared fault-free expansion
-    estimate) and/or ``graph`` to skip re-resolving them — the session
-    layer supplies ``baseline`` from its cache and lets the (cheap,
-    once-per-point) graph resolution happen here.  Results come back in
-    input order.
+    (and ``label``); pass ``graph`` to skip re-resolving it.  Results come
+    back in input order.
 
     This is the single-point special case of :func:`run_points`.
     """
     specs = list(specs)
     if not specs:
         return []
-    return run_points([specs], baseline=baseline, graph=graph)[0]
+    return run_points([specs], graph=graph)[0]
 
 
 def _group_masks(
@@ -137,10 +133,7 @@ def _group_masks(
 
 
 def run_points(
-    groups: List[List[ScenarioSpec]],
-    *,
-    baseline: Optional[ExpansionEstimate] = None,
-    graph: Optional[Graph] = None,
+    groups: List[List[ScenarioSpec]], *, graph: Optional[Graph] = None
 ) -> List[List[RunResult]]:
     """Execute several grid points sharing one graph as stacked batches.
 
@@ -149,9 +142,8 @@ def run_points(
     all groups must agree on ``graph`` and ``analysis`` — i.e. share a
     :func:`stack_key`; fault models and parameters may differ per group.
 
-    The graph is resolved once, the baseline computed once, and all
-    groups' trials are evaluated as rows of one stacked ``(ΣT, n)``
-    alive-mask tensor in one kernel call (the kernel bounds its own memory
+    The graph is resolved once, and all groups' trials are evaluated as
+    rows of one stacked ``(ΣT, n)`` alive-mask tensor in one kernel call (the kernel bounds its own memory
     by labelling rows in chunks), so the per-call kernel setup and graph
     resolution are paid once per *graph* instead of once per *point*.
     Masks are sampled per group from the same per-spec seeds the
@@ -180,10 +172,6 @@ def run_points(
 
     if graph is None:
         graph, _raw = resolve_graph(head.graph)
-    if baseline is None:
-        baseline = baseline_expansion(
-            graph, analysis.mode, exact_threshold=analysis.exact_threshold
-        )
 
     epsilon = analysis.epsilon
     if epsilon is None:
@@ -211,8 +199,6 @@ def run_points(
     )
 
     out: List[List[RunResult]] = [[] for _ in groups]
-    baseline_value = float(baseline.value)
-    baseline_exact = bool(baseline.exact)
     row = 0
     for gi, kind in enumerate(kinds):
         for spec in groups[gi]:
@@ -237,8 +223,7 @@ def run_points(
                     surviving_fraction=float(n_alive[i] / n if n else 0.0),
                     n_culled_sets=0,
                     prune_iterations=0,
-                    baseline_expansion=baseline_value,
-                    baseline_exact=baseline_exact,
+                    baseline_expansion=None,
                     surviving_expansion=None,
                     expansion_retention=None,
                     surviving_nodes=tuple(surviving.tolist()),

@@ -311,8 +311,9 @@ def _get_session(session: Optional[Session], workers: Optional[int]) -> Session:
     one sized by ``workers`` (``session`` wins when both are given)."""
     return session if session is not None else Session(workers=workers)
 
-#: Analysis that only measures the baseline / fault components (no pruning,
-#: no survivor expansion estimate) — percolation-style scenarios.
+#: Analysis that only measures the fault components (no pruning, no
+#: survivor expansion estimate, so no baseline) — percolation-style
+#: scenarios.
 _MEASURE_ONLY = AnalysisSpec(mode="node", pruner=None, measure_expansion=False)
 
 
@@ -353,17 +354,15 @@ def experiment_e1_adversarial_prune(
         GraphSpec("expander", {"n": 64 * scale, "degree": 4, "seed": gseed}),
     ]
     sess = _get_session(session, workers)
-    baselines = sess.run_batch(
-        [ScenarioSpec(graph=g, analysis=_MEASURE_ONLY) for g in graph_specs]
-    )
     provenance = [_graph_provenance(g) for g in graph_specs]
     results: List[tuple] = []  # (k, RunResult) in stable grid order
-    for gspec, base in zip(graph_specs, baselines):
-        alpha = base.baseline_expansion
+    for gspec in graph_specs:
+        alpha = sess.baseline(gspec).value
         if alpha <= 0:
             continue
+        n = sess.resolve_graph(gspec)[0].n
         for k in (2, 4):
-            f_max = bounds.prune_max_faults(base.n_original, alpha, k)
+            f_max = bounds.prune_max_faults(n, alpha, k)
             sweep = SweepSpec(
                 base=ScenarioSpec(
                     graph=gspec,
@@ -431,37 +430,24 @@ def experiment_e2_chain_expansion(
     base_spec = GraphSpec("expander", {"n": 32 * scale, "degree": 4, "seed": base_seed})
     sess = _get_session(session, workers)
     base_graph, _ = sess.resolve_graph(base_spec)
-    k_values = (2, 4, 8, 16)
-    sweep = SweepSpec(
-        base=ScenarioSpec(
-            graph=GraphSpec("chain_replacement", {"base": base_spec, "k": 2}),
-            analysis=AnalysisSpec(mode="node", pruner=None, measure_expansion=False),
-        ),
-        axes=(Axis("graph.params.k", k_values),),
-        seed=base_seed,
-        metrics=("baseline_expansion",),
-        label="e2",
-    )
-    results = [
-        p.results[0] for p in run_sweep(sweep, sess, keep_results=True).points
-    ]
+    provenance = [_graph_provenance(base_spec)]
     rows: List[Row] = []
-    for k, res in zip(k_values, results):
+    for k in (2, 4, 8, 16):
+        chain_spec = GraphSpec("chain_replacement", {"base": base_spec, "k": k})
+        provenance.append(_graph_provenance(chain_spec))
+        alpha = sess.baseline(chain_spec).value
         lo, hi = bounds.chain_expansion_bounds(k, base_graph.max_degree, beta=0.5)
         rows.append(
             {
                 "k": k,
-                "N": res.n_original,
-                "alpha": round(res.baseline_expansion, 5),
-                "alpha_times_k": round(res.baseline_expansion * k, 4),
+                "N": sess.resolve_graph(chain_spec)[0].n,
+                "alpha": round(alpha, 5),
+                "alpha_times_k": round(alpha * k, 4),
                 "claim_upper_2_over_k": round(hi, 5),
-                "upper_ok": res.baseline_expansion <= hi + 1e-9,
+                "upper_ok": alpha <= hi + 1e-9,
             }
         )
-    return _table(
-        "e2", rows,
-        provenance=[_graph_provenance(base_spec), _sweep_provenance(sweep)],
-    )
+    return _table("e2", rows, provenance=provenance)
 
 
 # --------------------------------------------------------------------- #
@@ -576,10 +562,10 @@ def experiment_e4_uniform_attack(
     )
     rows: List[Row] = []
     for gspec in graph_specs:
+        alpha = sess.baseline(gspec).value
         for eps in eps_values:
             generic = next(results)
             axis = next(results)
-            alpha = generic.baseline_expansion
             bound = bounds.theorem25_fault_bound(generic.n_original, alpha, eps)
             rows.append(
                 {
@@ -639,13 +625,11 @@ def experiment_e5_random_disintegration(
     tor_spec = GraphSpec("torus", {"sides": 20 * scale, "d": 2})
     cases = [(chain_spec, "chain(k=8)"), (tor_spec, "torus-2d")]
     sess = _get_session(session, workers)
-    baselines = sess.run_batch(
-        [ScenarioSpec(graph=g, analysis=_MEASURE_ONLY) for g, _ in cases]
-    )
     provenance = [_graph_provenance(g) for g, _ in cases]
     rows: List[Row] = []
-    for ci, ((gspec, label), base) in enumerate(zip(cases, baselines)):
-        alpha = base.baseline_expansion
+    for ci, (gspec, label) in enumerate(cases):
+        alpha = sess.baseline(gspec).value
+        n = sess.resolve_graph(gspec)[0].n
         ps = tuple(min(0.95, mult * alpha) for mult in mults)
         sweep = SweepSpec(
             base=ScenarioSpec(
@@ -666,7 +650,7 @@ def experiment_e5_random_disintegration(
             rows.append(
                 {
                     "graph": label,
-                    "n": base.n_original,
+                    "n": n,
                     "alpha": round(alpha, 4),
                     "p_over_alpha": mult,
                     "p_fault": round(p, 4),
@@ -1191,12 +1175,10 @@ def experiment_e12_cascade_size(
         ),
     ]
     sess = _get_session(session, workers)
-    baselines = sess.run_batch(
-        [ScenarioSpec(graph=g, analysis=_MEASURE_ONLY) for g, _ in cases]
-    )
     provenance = [_graph_provenance(g) for g, _ in cases]
     rows: List[Row] = []
-    for ci, ((gspec, label), base) in enumerate(zip(cases, baselines)):
+    for ci, (gspec, label) in enumerate(cases):
+        n = sess.resolve_graph(gspec)[0].n
         sweep = SweepSpec(
             base=ScenarioSpec(
                 graph=gspec,
@@ -1217,7 +1199,7 @@ def experiment_e12_cascade_size(
             rows.append(
                 {
                     "graph": label,
-                    "n": base.n_original,
+                    "n": n,
                     "alpha": alpha,
                     "trials": size.n,
                     "cascade_mean": round(size.mean, 4),
@@ -1366,12 +1348,10 @@ def experiment_e14_smallworld_disintegration(
     ]
     ps = (0.05, 0.15, 0.25, 0.35, 0.45)
     sess = _get_session(session, workers)
-    baselines = sess.run_batch(
-        [ScenarioSpec(graph=g, analysis=_MEASURE_ONLY) for _, g in cases]
-    )
     provenance = [_graph_provenance(g) for _, g in cases]
     rows: List[Row] = []
-    for ci, ((label, gspec), base) in enumerate(zip(cases, baselines)):
+    for ci, (label, gspec) in enumerate(cases):
+        n = sess.resolve_graph(gspec)[0].n
         sweep = SweepSpec(
             base=ScenarioSpec(
                 graph=gspec,
@@ -1391,7 +1371,7 @@ def experiment_e14_smallworld_disintegration(
             rows.append(
                 {
                     "graph": label,
-                    "n": base.n_original,
+                    "n": n,
                     "p_fault": p,
                     "trials": gamma.n,
                     "gamma_mean": round(gamma.mean, 4),

@@ -30,7 +30,9 @@ class FaultToleranceReport:
     """Full digest of one fault-injection + pruning analysis."""
 
     scenario: FaultScenario
-    baseline_expansion: ExpansionEstimate
+    #: None when the analysis reads no baseline (no pruner, no survivor
+    #: expansion)
+    baseline_expansion: Optional[ExpansionEstimate]
     faulty_components: ComponentSummary
     prune_result: PruneResult
     surviving_expansion: Optional[ExpansionEstimate]
@@ -52,9 +54,10 @@ class FaultToleranceReport:
     @property
     def expansion_retention(self) -> float:
         """``α(H) / α(G)`` using the point estimates (nan when undefined)."""
-        if self.surviving_expansion is None or self.baseline_expansion.value <= 0:
+        h, g = self.surviving_expansion, self.baseline_expansion
+        if h is None or g is None or g.value <= 0:
             return float("nan")
-        return self.surviving_expansion.value / self.baseline_expansion.value
+        return h.value / g.value
 
     def _rows(self) -> List[List[Any]]:
         """The ``(quantity, value)`` pairs every renderer shares."""
@@ -68,13 +71,8 @@ class FaultToleranceReport:
             ["pruned away", self.prune_result.n_culled],
             ["surviving |H|", self.n_surviving],
             ["surviving fraction", fmt_float(self.surviving_fraction)],
-            ["baseline expansion", fmt_float(self.baseline_expansion.value)],
-            [
-                "surviving expansion",
-                fmt_float(self.surviving_expansion.value)
-                if self.surviving_expansion is not None
-                else "n/a",
-            ],
+            ["baseline expansion", _fmt_estimate(self.baseline_expansion)],
+            ["surviving expansion", _fmt_estimate(self.surviving_expansion)],
             ["expansion retention", fmt_float(self.expansion_retention)],
             ["prune threshold", fmt_float(self.prune_result.threshold)],
             ["prune iterations", self.prune_result.iterations],
@@ -91,3 +89,7 @@ class FaultToleranceReport:
     def to_markdown(self) -> str:
         """The same report as a GitHub pipe table."""
         return markdown_table(["quantity", "value"], self._rows(), title=self._title)
+
+
+def _fmt_estimate(estimate: Optional[ExpansionEstimate]) -> str:
+    return "n/a" if estimate is None else fmt_float(estimate.value)

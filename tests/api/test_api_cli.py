@@ -115,10 +115,10 @@ class TestStoreFlags:
 
     def test_experiment_with_store_warm_rerun(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["e2", "--seed", "1", "--store", store]) == 0
-        assert "computed" in capsys.readouterr().out
-        assert main(["e2", "--seed", "1", "--store", store]) == 0
-        assert "4 cached, 0 computed" in capsys.readouterr().out
+        assert main(["e4", "--seed", "1", "--store", store]) == 0
+        assert "0 cached, 8 computed" in capsys.readouterr().out
+        assert main(["e4", "--seed", "1", "--store", store]) == 0
+        assert "8 cached, 0 computed" in capsys.readouterr().out
 
 
 class TestCacheCommand:

@@ -213,16 +213,6 @@ class TestRunBatch:
         results = run_batch(specs, workers=2)
         assert [r.seed for r in results] == [5, 3, 9]
 
-    def test_baseline_cache_carries_across_batches(self):
-        cache = {}
-        run_batch([torus_spec(seed=1)], workers=1, baseline_cache=cache)
-        assert len(cache) == 1
-        (estimate,) = cache.values()
-        run_batch([torus_spec(seed=s) for s in range(3)], workers=1,
-                  baseline_cache=cache)
-        assert len(cache) == 1  # no new keys: second batch reused the estimate
-        assert next(iter(cache.values())) is estimate
-
     def test_rejects_non_specs(self):
         with pytest.raises(SpecError):
             run_batch([torus_spec(), "not a spec"])

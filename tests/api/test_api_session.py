@@ -10,6 +10,7 @@ from repro.api.specs import AnalysisSpec, FaultSpec, GraphSpec, RunResult, Scena
 from repro.api.store import ResultStore
 from repro.api.sweeps import Axis, SweepSpec, run_sweep
 from repro.errors import SpecError
+from repro.testing import scalar_sweep
 from repro.storage.log import RecordLog
 from repro.util.locking import FileLock
 
@@ -39,6 +40,16 @@ def stacked_sweep():
         seed=7,
         metrics=("gamma",),
     )
+
+
+GRAPH = GraphSpec("torus", {"sides": 8, "d": 2})
+
+
+def prune_sweep(measure_expansion=True):
+    """:func:`stacked_sweep` with Prune on: the scalar engine runs it."""
+    sweep = stacked_sweep()
+    analysis = AnalysisSpec(pruner="prune", measure_expansion=measure_expansion)
+    return dataclasses.replace(sweep, base=dataclasses.replace(sweep.base, analysis=analysis))
 
 
 def _forbid_execution(monkeypatch):
@@ -121,11 +132,8 @@ class TestCaching:
         session.run_batch(sweep(5))  # seed 4 is new
         assert session.misses == 1
 
-    def test_cold_sweep_probes_the_store_once_per_baseline_key(
-        self, tmp_path, monkeypatch
-    ):
-        """Eight missing trials on one graph share one baseline key, so the
-        store's baseline index is read once, not once per trial."""
+    @staticmethod
+    def _count_probes(monkeypatch):
         probes = []
         real = ResultStore.get_baseline
 
@@ -134,8 +142,102 @@ class TestCaching:
             return real(store, key)
 
         monkeypatch.setattr(ResultStore, "get_baseline", counting)
+        return probes
+
+    def test_cold_gamma_sweep_never_probes_the_baseline_store(
+        self, tmp_path, monkeypatch
+    ):
+        """γ reads no baseline, so a cold γ sweep never asks the store
+        for one."""
+        probes = self._count_probes(monkeypatch)
         run_sweep(stacked_sweep(), session=Session(tmp_path / "s"))
+        assert probes == []
+
+    def test_cold_prune_sweep_probes_the_store_once_per_baseline_key(
+        self, tmp_path, monkeypatch
+    ):
+        """Eight missing Prune trials on one graph share one baseline key,
+        so the store's baseline index is read once, not once per trial."""
+        probes = self._count_probes(monkeypatch)
+        run_sweep(prune_sweep(), session=Session(tmp_path / "s"))
         assert len(probes) == 1
+
+
+class TestBaselines:
+    """The fault-free estimate α(G) is resolved only for analyses that
+    read it (a pruner, or a survivor expansion), once per graph."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The graphs ``repro.api.engine.baseline_expansion`` estimates."""
+        graphs = []
+        real = engine.baseline_expansion
+
+        def spy(graph, *args, **kwargs):
+            graphs.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "baseline_expansion", spy)
+        return graphs
+
+    def test_batched_gamma_sweep_makes_no_estimate(self, monkeypatch):
+        graphs = self._spy(monkeypatch)
+        result = run_sweep(stacked_sweep(), Session(), keep_results=True)
+        assert graphs == []
+        assert {r.baseline_expansion for p in result.points for r in p.results} == {None}
+
+    def test_scalar_gamma_sweep_makes_no_estimate(self, monkeypatch):
+        graphs = self._spy(monkeypatch)
+        scalar = scalar_sweep(stacked_sweep())
+        assert graphs == []
+        assert scalar.fingerprint() == run_sweep(stacked_sweep(), Session()).fingerprint()
+
+    def test_prune_sweep_makes_one_estimate_per_graph(self, monkeypatch):
+        # no survivor measurement, so every estimate is a fault-free one
+        graphs = self._spy(monkeypatch)
+        result = run_sweep(
+            prune_sweep(measure_expansion=False), Session(), keep_results=True
+        )
+        assert [g.n for g in graphs] == [64]
+        alphas = {r.baseline_expansion for p in result.points for r in p.results}
+        assert len(alphas) == 1 and None not in alphas
+
+    def test_second_call_is_served_from_memory(self, tmp_path, monkeypatch):
+        probes = TestCaching._count_probes(monkeypatch)
+        graphs = self._spy(monkeypatch)
+        session = Session(tmp_path / "s")
+        first = session.baseline(GRAPH)
+        assert (len(probes), len(graphs)) == (1, 1)
+        assert session.baseline(GRAPH) is first
+        assert (len(probes), len(graphs)) == (1, 1)
+
+    def test_fresh_session_serves_it_from_the_store(self, tmp_path, monkeypatch):
+        first = Session(tmp_path / "s").baseline(GRAPH, "edge")
+        _forbid_execution(monkeypatch)
+        again = Session(tmp_path / "s").baseline(GRAPH, "edge")
+        assert (again.value, again.exact, again.method) == (
+            first.value, first.exact, first.method
+        )
+
+    @pytest.mark.parametrize("mode, pruner", [("node", "prune"), ("edge", "prune2")])
+    def test_equals_the_estimate_a_prune_batch_reads(self, mode, pruner):
+        spec = ScenarioSpec(
+            graph=GRAPH,
+            fault=FaultSpec("random_node", {"p": 0.1}),
+            analysis=AnalysisSpec(mode=mode, pruner=pruner),
+            seed=1,
+        )
+        (result,) = engine.run_batch([spec])
+        assert Session().baseline(GRAPH, mode).value == result.baseline_expansion
+
+    def test_alpha_metrics_skip_results_without_alpha(self):
+        sweep = dataclasses.replace(
+            stacked_sweep(), metrics=("gamma", "baseline_expansion", "prune2_success")
+        )
+        for point in run_sweep(sweep, Session()).points:
+            assert point.stats["gamma"].n == 4
+            for metric in ("baseline_expansion", "prune2_success"):
+                assert (point.stats[metric].n, point.stats[metric].n_skipped) == (0, 4)
 
 
 class TestDeterminism:

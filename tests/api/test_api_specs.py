@@ -160,8 +160,7 @@ def run_results(draw):
         surviving_fraction=draw(floats),
         n_culled_sets=draw(st.integers(0, 9)),
         prune_iterations=draw(st.integers(0, 9)),
-        baseline_expansion=draw(floats),
-        baseline_exact=draw(st.booleans()),
+        baseline_expansion=draw(st.one_of(st.none(), floats)),
         surviving_expansion=draw(st.one_of(st.none(), floats)),
         expansion_retention=draw(st.one_of(st.none(), floats)),
         surviving_nodes=nodes,
@@ -230,7 +229,7 @@ def _small_result(spec, nodes, n_original=16):
         n_original=n_original, mode="node", fault_kind="none", f=0,
         fault_fraction=0.0, faulty_components=0, largest_faulty_component=0,
         n_surviving=len(nodes), surviving_fraction=0.125, n_culled_sets=0,
-        prune_iterations=0, baseline_expansion=1.0, baseline_exact=True,
+        prune_iterations=0, baseline_expansion=1.0,
         surviving_expansion=None, expansion_retention=None,
         surviving_nodes=nodes, epsilon=0.1,
     )

@@ -132,8 +132,7 @@ def run_results(draw):
         surviving_fraction=draw(_FLOATS),
         n_culled_sets=draw(st.integers(0, 100)),
         prune_iterations=draw(st.integers(0, 100)),
-        baseline_expansion=draw(_FLOATS),
-        baseline_exact=draw(st.booleans()),
+        baseline_expansion=draw(st.one_of(st.none(), _FLOATS)),
         surviving_expansion=draw(st.one_of(st.none(), _FLOATS)),
         expansion_retention=draw(st.one_of(st.none(), _FLOATS)),
         surviving_nodes=nodes,
@@ -275,6 +274,11 @@ class TestHitContract:
             ),
             "non-canonical-base64": (a, framed(with_bitmap(_non_canonical(record["surviving"])))),
             "parent-line": (a, _parent_line(result)),
+            # the flat layout before baselines became optional: the same
+            # frame and a valid fingerprint, plus a baseline_exact field
+            "baseline-exact-line": (
+                a, framed(canonical_json(dict(record, baseline_exact=True)))
+            ),
             # the text and frame intact, the closing brace not
             "unclosed-record": (a, line[:-2] + b"]\n"),
         }
@@ -298,6 +302,7 @@ class TestHitContract:
                 "trailing-zero-byte",
                 "non-canonical-base64",
                 "parent-line",
+                "baseline-exact-line",
                 "unclosed-record",
             )
         ],
